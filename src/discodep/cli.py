@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Pearson correlation between paired metrics files")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--key", default="doc_id", choices=("doc_id",), help="join key")
     p.add_argument("--field", choices=("mdd", "sd"), default="mdd")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_correlate)

@@ -1,4 +1,5 @@
-"""Bit-exact serialization of dependency graphs and metrics.
+"""Bit-exact serialization of dependency graphs and metrics, plus the
+two-column TSV reader shared by the head-rule and label-map files.
 
 All writers emit UTF-8 bytes with "\n" line endings, a trailing newline,
 and 6-decimal fixed-point reals, so identical inputs always produce
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 
 from .metrics import CorrelationResult, MetricsRecord
 from .model import (
@@ -88,27 +90,54 @@ def _write_conll(graph: DependencyGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
+    """Split ``# key = value`` comments from the other non-blank lines.
+
+    Only doc_id, unit_count and flavor are kept, parsed to their types.
+    """
+    meta: dict = {}
+    body: list[tuple[int, str]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.startswith("#"):
+            if line.strip():
+                body.append((line_no, line))
+            continue
+        key, sep, value = line[1:].partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            continue
+        if key == "doc_id":
+            meta[key] = value
+        elif key == "unit_count":
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise FormatError(f"line {line_no}: bad unit_count {value!r}") from None
+        elif key == "flavor":
+            try:
+                meta[key] = GraphFlavor(value)
+            except ValueError:
+                raise FormatError(f"line {line_no}: unknown flavor {value!r}") from None
+    return meta, body
+
+
+def _graph(meta: dict, unit_count: int, arcs: list[DependencyArc]) -> DependencyGraph:
+    """Assemble a read graph; without a flavor comment, a root arc means a rooted tree."""
+    flavor = meta.get("flavor")
+    if flavor is None:
+        flavor = (
+            GraphFlavor.ROOTED_TREE
+            if any(a.head == ROOT for a in arcs)
+            else GraphFlavor.LOCAL_FOREST
+        )
+    return DependencyGraph(meta.get("doc_id", ""), unit_count, tuple(arcs), flavor)
+
+
 def _read_conll(text: str) -> DependencyGraph:
-    doc_id = ""
-    flavor: GraphFlavor | None = None
+    meta, body = _split_comments(text)
     arcs = []
     unit_count = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "doc_id":
-                    doc_id = value
-                elif key == "flavor":
-                    try:
-                        flavor = GraphFlavor(value)
-                    except ValueError:
-                        raise FormatError(f"line {line_no}: unknown flavor {value!r}") from None
-            continue
+    for line_no, line in body:
         fields = line.split("\t")
         if len(fields) != 6:
             raise FormatError(f"line {line_no}: expected 6 tab-separated fields, got {len(fields)}")
@@ -137,13 +166,7 @@ def _read_conll(text: str) -> DependencyGraph:
                 f"line {line_no}: distance column {fields[5]} disagrees with |{unit} - {head}|"
             )
         arcs.append(arc)
-    if flavor is None:
-        flavor = (
-            GraphFlavor.ROOTED_TREE
-            if any(a.head == ROOT for a in arcs)
-            else GraphFlavor.LOCAL_FOREST
-        )
-    return DependencyGraph(doc_id, unit_count, tuple(arcs), flavor)
+    return _graph(meta, unit_count, arcs)
 
 
 def _write_csv(graph: DependencyGraph) -> bytes:
@@ -161,27 +184,7 @@ def _write_csv(graph: DependencyGraph) -> bytes:
 
 
 def _read_csv(text: str) -> DependencyGraph:
-    doc_id = ""
-    unit_count: int | None = None
-    flavor: GraphFlavor | None = None
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "doc_id":
-                doc_id = value
-            elif key == "unit_count":
-                unit_count = int(value)
-            elif key == "flavor":
-                try:
-                    flavor = GraphFlavor(value)
-                except ValueError:
-                    raise FormatError(f"line {line_no}: unknown flavor {value!r}") from None
-            continue
-        if line.strip():
-            rows.append((line_no, line))
+    meta, rows = _split_comments(text)
     if not rows:
         raise FormatError("csv input has no header row")
     header_no, header_line = rows[0]
@@ -213,15 +216,7 @@ def _read_csv(text: str) -> DependencyGraph:
             )
         arcs.append(arc)
         max_unit = max(max_unit, dependent, head)
-    if unit_count is None:
-        unit_count = max_unit
-    if flavor is None:
-        flavor = (
-            GraphFlavor.ROOTED_TREE
-            if any(a.head == ROOT for a in arcs)
-            else GraphFlavor.LOCAL_FOREST
-        )
-    return DependencyGraph(doc_id, unit_count, tuple(arcs), flavor)
+    return _graph(meta, meta.get("unit_count", max_unit), arcs)
 
 
 def _write_json(graph: DependencyGraph) -> bytes:
@@ -326,6 +321,23 @@ def read_metrics(data: bytes | str) -> list[MetricsRecord]:
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
     return records
+
+
+def read_two_columns(path: str | Path, name: str) -> list[tuple[int, str, str]]:
+    """Rows of a TAB-separated two-column file as (line number, first, second).
+
+    Fields are stripped; blank lines and ``#`` comments are skipped. A row
+    without exactly two fields raises ValueError naming ``name`` and the line.
+    """
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{name} line {line_no}: expected 2 tab-separated fields")
+        rows.append((line_no, parts[0].strip(), parts[1].strip()))
+    return rows
 
 
 def write_correlation(result: CorrelationResult) -> bytes:

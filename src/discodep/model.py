@@ -7,6 +7,7 @@ concurrent workers.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 ROOT = 0  # pseudo-head index for root arcs; EDU indices are 1-based
@@ -181,10 +182,18 @@ class RstInternal:
 
     @property
     def leaf_indices(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for child in self.children:
-            out.extend(child.node.leaf_indices)
-        return tuple(out)
+        return tuple(leaf.edu_index for leaf in iter_leaves(self))
+
+
+def iter_leaves(node: RstLeaf | RstInternal) -> Iterator[RstLeaf]:
+    """The leaves under ``node`` in left-to-right order, without recursion."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, RstLeaf):
+            yield node
+        else:
+            stack.extend(child.node for child in reversed(node.children))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .align import DEFAULT_THETA, EmptyAlignment, resolve_span_set
+from .formats import read_two_columns
 from .model import (
     Diagnostic,
     DependencyArc,
@@ -66,21 +67,16 @@ def sense_symmetry(tag: SenseTag) -> SymmetryVerdict:
     return SYMMETRIC
 
 
-def head_of_constituent(
-    units: set[int], arcs_so_far: list[tuple[int, int]] | DependencyGraph
-) -> int:
+def head_of_constituent(units: set[int], arcs_so_far: list[tuple[int, int]]) -> int:
     """Representative head of a multi-EDU constituent.
 
     Returns the unit that is not a dependent of any other unit in the set
-    via arcs internal to the set; ties go to the linearly last unit.
+    via (dependent, head) arcs internal to the set; ties go to the
+    linearly last unit.
     """
     if not units:
         raise ValueError("empty constituent")
-    if isinstance(arcs_so_far, DependencyGraph):
-        pairs = [(a.dependent, a.head) for a in arcs_so_far.arcs]
-    else:
-        pairs = list(arcs_so_far)
-    dependents = {dep for dep, head in pairs if dep in units and head in units}
+    dependents = {dep for dep, head in arcs_so_far if dep in units and head in units}
     candidates = units - dependents
     return max(candidates) if candidates else max(units)
 
@@ -88,16 +84,10 @@ def head_of_constituent(
 def load_head_rules(path: str | Path) -> dict[str, str]:
     """Read a two-column override file: level-2 class TAB rule."""
     rules = dict(DEFAULT_HEAD_RULES)
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"head-rules line {line_no}: expected 2 tab-separated fields")
-        cls, rule = parts[0].strip().lower(), parts[1].strip()
+    for line_no, cls, rule in read_two_columns(path, "head-rules"):
         if rule not in (MARKED_IS_DEPENDENT, MARKED_IS_HEAD):
             raise ValueError(f"head-rules line {line_no}: unknown rule {rule!r}")
-        rules[cls] = rule
+        rules[cls.lower()] = rule
     return rules
 
 

@@ -19,6 +19,7 @@ from .model import (
     RstLeaf,
     RstTree,
     Span,
+    iter_leaves,
 )
 
 
@@ -44,10 +45,12 @@ class FragmentNotFound(DiscodepError):
 
 _TOKEN = re.compile(
     r"""
-    _!(?P<text>.*?)_!      # EDU text payload, non-greedy up to the closing _!
-  | (?P<open>\()
-  | (?P<close>\))
-  | (?P<atom>[^\s()]+)
+    \s*(?:
+      _!(?P<text>.*?)_!      # EDU text payload, non-greedy up to the closing _!
+    | (?P<open>\()
+    | (?P<close>\))
+    | (?P<atom>[^\s()]+)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -56,150 +59,133 @@ _NODE_LABELS = {"Root", "Nucleus", "Satellite"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise DisParseError(f"cannot tokenize at offset {pos}: {text[pos:pos+20]!r}")
-        if m.lastgroup == "text":
-            tokens.append(("text", m.group("text")))
-        elif m.lastgroup == "open":
-            tokens.append(("open", "("))
-        elif m.lastgroup == "close":
-            tokens.append(("close", ")"))
-        else:
-            tokens.append(("atom", m.group("atom")))
-        pos = m.end()
-    return tokens
+    # every non-space character starts some alternative, so nothing is skipped
+    return [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
 
 
-class _RawNode:
-    __slots__ = ("label", "leaf", "span", "rel2par", "text", "children")
-
-    def __init__(self, label: str):
-        self.label = label
-        self.leaf: int | None = None
-        self.span: tuple[int, int] | None = None
-        self.rel2par: str | None = None
-        self.text: str | None = None
-        self.children: list[_RawNode] = []
+def _int_fields(key: str, payload: list[str], arity: int) -> list[int]:
+    try:
+        if len(payload) == arity:
+            return [int(field) for field in payload]
+    except ValueError:
+        pass
+    raise DisParseError(f"malformed ({' '.join([key, *payload])}): expected {arity} integer(s)")
 
 
-def _parse_node(tokens: list[tuple[str, str]], pos: int) -> tuple[_RawNode, int]:
-    if pos >= len(tokens) or tokens[pos][0] != "open":
-        raise UnbalancedParens(f"expected '(' at token {pos}")
+def _read_attr(tokens: list[tuple[str, str]], pos: int, attrs: dict) -> int:
+    """Store the attribute list opening at tokens[pos]; return the position after it."""
     pos += 1
-    if pos >= len(tokens) or tokens[pos][0] != "atom" or tokens[pos][1] not in _NODE_LABELS:
-        got = tokens[pos][1] if pos < len(tokens) else "<eof>"
-        raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
-    node = _RawNode(tokens[pos][1])
-    pos += 1
-    while pos < len(tokens):
-        tkind, tval = tokens[pos]
-        if tkind == "close":
-            return node, pos + 1
-        if tkind != "open":
-            raise DisParseError(f"unexpected token {tval!r} inside node")
-        # lookahead: an inner list is either an attribute or a child node
-        if pos + 1 < len(tokens) and tokens[pos + 1][0] == "atom":
-            head = tokens[pos + 1][1]
-        else:
-            head = None
-        if head in _NODE_LABELS:
-            child, pos = _parse_node(tokens, pos)
-            node.children.append(child)
-            continue
-        pos, value = _parse_attr(tokens, pos)
-        key, payload = value
-        if key == "leaf":
-            node.leaf = int(payload[0])
-        elif key == "span":
-            node.span = (int(payload[0]), int(payload[1]))
-        elif key == "rel2par":
-            node.rel2par = " ".join(payload)
-        elif key == "text":
-            node.text = payload[0]
-        # other attributes (e.g. Promotion sets) are tolerated and dropped
-    raise UnbalancedParens("unexpected end of input inside node")
-
-
-def _parse_attr(tokens: list[tuple[str, str]], pos: int) -> tuple[int, tuple[str, list[str]]]:
-    # caller guarantees tokens[pos] is "("
-    pos += 1
-    if pos >= len(tokens) or tokens[pos][0] not in ("atom",):
+    if pos >= len(tokens) or tokens[pos][0] != "atom":
         raise DisParseError("attribute list without a key")
     key = tokens[pos][1]
-    pos += 1
     payload: list[str] = []
     depth = 0
-    while pos < len(tokens):
-        tkind, tval = tokens[pos]
-        if tkind == "close":
+    for pos in range(pos + 1, len(tokens)):
+        kind, value = tokens[pos]
+        if kind == "close":
             if depth == 0:
-                return pos + 1, (key, payload)
+                break
             depth -= 1
-        elif tkind == "open":
+        elif kind == "open":
             depth += 1
         else:
-            payload.append(tval)
-        pos += 1
-    raise UnbalancedParens(f"unterminated attribute ({key}")
+            payload.append(value)
+    else:
+        raise UnbalancedParens(f"unterminated attribute ({key}")
+    if key == "leaf":
+        attrs["leaf"] = _int_fields(key, payload, 1)[0]
+    elif key == "span":
+        attrs["span"] = tuple(_int_fields(key, payload, 2))
+    elif key == "rel2par":
+        attrs["rel2par"] = " ".join(payload)
+    elif key == "text":
+        if not payload:
+            raise DisParseError("malformed (text): expected a fragment")
+        attrs["text"] = payload[0]
+    # other attributes (e.g. Promotion sets) are tolerated and dropped
+    return pos + 1
 
 
 def _unescape(fragment: str) -> str:
     return re.sub(r"\\(.)", r"\1", fragment)
 
 
-def _build(raw: _RawNode) -> RstLeaf | RstInternal:
-    if raw.leaf is not None:
-        return RstLeaf(raw.leaf, _unescape(raw.text) if raw.text is not None else None)
-    if not raw.children:
-        raise DisParseError(f"{raw.label} node has neither (leaf k) nor children")
-    children = []
+def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInternal:
+    """Build a node from its attributes and its already built (label, node, rel2par) children."""
+    leaf = attrs.get("leaf")
+    if leaf is not None:
+        text = attrs.get("text")
+        return RstLeaf(leaf, _unescape(text) if text is not None else None)
+    if not children:
+        raise DisParseError(f"{label} node has neither (leaf k) nor children")
+    built = []
     has_nucleus = False
-    for child in raw.children:
-        if child.label == "Root":
+    for child_label, node, rel2par in children:
+        if child_label == "Root":
             raise DisParseError("Root label on a non-root node")
-        nuclearity = Nuclearity(child.label)
+        nuclearity = Nuclearity(child_label)
         has_nucleus = has_nucleus or nuclearity is Nuclearity.NUCLEUS
-        children.append(
-            RstChild(_build(child), nuclearity, child.rel2par or "span")
-        )
+        built.append(RstChild(node, nuclearity, rel2par or "span"))
     if not has_nucleus:
         raise MissingNuclearity(
-            f"internal node over leaves {raw.span or '?'} has no Nucleus child"
+            f"internal node over leaves {attrs.get('span') or '?'} has no Nucleus child"
         )
-    return RstInternal(tuple(children))
+    return RstInternal(tuple(built))
 
 
 def parse_dis(text: str, doc_id: str = "") -> RstTree:
-    """Parse a ".dis" constituency tree into an RstTree."""
+    """Parse a ".dis" constituency tree into an RstTree.
+
+    One pass over the tokens with an explicit stack of open nodes; each
+    node is built when it closes, so tree depth is not limited by recursion.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise DisParseError("empty input")
-    raw, pos = _parse_node(tokens, 0)
+    if tokens[0][0] != "open":
+        raise UnbalancedParens("expected '(' at token 0")
+    if len(tokens) < 2 or tokens[1][0] != "atom" or tokens[1][1] not in _NODE_LABELS:
+        got = tokens[1][1] if len(tokens) > 1 else "<eof>"
+        raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
+    if tokens[1][1] != "Root":
+        raise DisParseError(f"top-level node must be Root, got {tokens[1][1]}")
+    # open nodes: (label, attributes, built (label, node, rel2par) children)
+    stack: list[tuple[str, dict, list]] = [("Root", {}, [])]
+    pos = 2
+    while True:
+        if pos >= len(tokens):
+            raise UnbalancedParens("unexpected end of input inside node")
+        kind, value = tokens[pos]
+        if kind == "open":
+            # lookahead: an inner list is either a child node or an attribute
+            ahead = tokens[pos + 1] if pos + 1 < len(tokens) else ("", "")
+            if ahead[0] == "atom" and ahead[1] in _NODE_LABELS:
+                stack.append((ahead[1], {}, []))
+                pos += 2
+            else:
+                pos = _read_attr(tokens, pos, stack[-1][1])
+            continue
+        if kind != "close":
+            raise DisParseError(f"unexpected token {value!r} inside node")
+        pos += 1
+        label, attrs, children = stack.pop()
+        if not stack:
+            break
+        stack[-1][2].append((label, _close_node(label, attrs, children), attrs.get("rel2par")))
     if pos != len(tokens):
         raise UnbalancedParens(f"trailing tokens after tree (at token {pos})")
-    if raw.label != "Root":
-        raise DisParseError(f"top-level node must be Root, got {raw.label}")
     # degenerate single-child root wrapper: unwrap to the bare leaf
-    if raw.leaf is None and len(raw.children) == 1 and raw.children[0].leaf is not None:
-        root = _build(raw.children[0])
+    if "leaf" not in attrs and len(children) == 1 and isinstance(children[0][1], RstLeaf):
+        root = children[0][1]
     else:
-        root = _build(raw)
+        root = _close_node(label, attrs, children)
     leaves = root.leaf_indices
     if leaves != tuple(range(1, len(leaves) + 1)):
         raise NonContiguousLeaves(f"leaf indices are {leaves}, expected 1..{len(leaves)}")
-    tree = RstTree(root, doc_id=doc_id)
-    if raw.span is not None and raw.span != (1, tree.leaf_count):
-        raise NonContiguousLeaves(
-            f"root declares span {raw.span} but tree has {tree.leaf_count} leaves"
-        )
-    return tree
+    span = attrs.get("span")
+    if span is not None and span != (1, len(leaves)):
+        raise NonContiguousLeaves(f"root declares span {span} but tree has {len(leaves)} leaves")
+    return RstTree(root, doc_id=doc_id)
 
 
 def parse_dis_file(path: str | Path) -> RstTree:
@@ -214,37 +200,30 @@ def _escape(fragment: str) -> str:
 def pretty_print(tree: RstTree) -> str:
     """Serialize a tree back to ".dis" notation; parse_dis round-trips it."""
     lines: list[str] = []
-
-    def emit(node: RstLeaf | RstInternal, label: str, rel2par: str | None, indent: int) -> None:
-        pad = "  " * indent
+    edus: list[int] = []  # leaf indices in the order they are printed
+    # (node, label, rel2par, depth, None) opens a node; a closing entry
+    # carries (header line index, len(edus) when the node opened) instead
+    stack = [(tree.root, "Root", None, 0, None)]
+    while stack:
+        node, label, rel2par, depth, opened = stack.pop()
+        pad = "  " * depth
+        rel = "" if rel2par is None else f" (rel2par {rel2par})"
         if isinstance(node, RstLeaf):
-            parts = [f"{pad}( {label} (leaf {node.edu_index})"]
-            if rel2par is not None:
-                parts.append(f"(rel2par {rel2par})")
-            if node.text is not None:
-                parts.append(f"(text _!{_escape(node.text)}_!)")
-            lines.append(" ".join(parts) + " )")
-            return
-        first, last = node.leaf_indices[0], node.leaf_indices[-1]
-        header = f"{pad}( {label} (span {first} {last})"
-        if rel2par is not None:
-            header += f" (rel2par {rel2par})"
-        lines.append(header)
-        for child in node.children:
-            emit(child.node, child.nuclearity.value, child.relation, indent + 1)
-        lines.append(f"{pad})")
-
-    emit(tree.root, "Root", None, 0)
+            edus.append(node.edu_index)
+            text = "" if node.text is None else f" (text _!{_escape(node.text)}_!)"
+            lines.append(f"{pad}( {label} (leaf {node.edu_index}){rel}{text} )")
+        elif opened is None:
+            stack.append((node, label, rel2par, depth, (len(lines), len(edus))))
+            lines.append("")  # the header, written once the node's leaves are known
+            stack.extend(
+                (c.node, c.nuclearity.value, c.relation, depth + 1, None)
+                for c in reversed(node.children)
+            )
+        else:
+            line, first = opened
+            lines[line] = f"{pad}( {label} (span {edus[first]} {edus[-1]}){rel}"
+            lines.append(f"{pad})")
     return "\n".join(lines) + "\n"
-
-
-def _leaves_in_order(node: RstLeaf | RstInternal) -> list[RstLeaf]:
-    if isinstance(node, RstLeaf):
-        return [node]
-    out: list[RstLeaf] = []
-    for child in node.children:
-        out.extend(_leaves_in_order(child.node))
-    return out
 
 
 def edu_inventory_of(tree: RstTree, text: str, doc_id: str | None = None) -> Document:
@@ -254,7 +233,7 @@ def edu_inventory_of(tree: RstTree, text: str, doc_id: str | None = None) -> Doc
     """
     edus: list[tuple[int, Span]] = []
     cursor = 0
-    for leaf in _leaves_in_order(tree.root):
+    for leaf in iter_leaves(tree.root):
         if leaf.text is None:
             raise FragmentNotFound(f"leaf {leaf.edu_index} carries no text fragment")
         fragment = leaf.text.strip()

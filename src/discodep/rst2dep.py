@@ -9,6 +9,10 @@ satellites and keeps the two variants distinguishable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from pathlib import Path
+
+from .formats import read_two_columns
 from .model import (
     DependencyArc,
     DependencyGraph,
@@ -25,66 +29,69 @@ from .model import (
 ROOT_SENSE = SenseTag("ROOT", "NONE")
 
 
-def _node_heads(node: RstLeaf | RstInternal, table: dict[RstLeaf | RstInternal, int]) -> int:
-    if isinstance(node, RstLeaf):
-        table[node] = node.edu_index
-        return node.edu_index
-    head = None
-    fallback = None
-    for child in node.children:
-        child_head = _node_heads(child.node, table)
-        if fallback is None:
-            fallback = child_head
-        if head is None and child.nuclearity is Nuclearity.NUCLEUS:
-            head = child_head
+def _fold(root: RstLeaf | RstInternal, leaf_value: Callable, combine: Callable):
+    """Post-order fold without recursion.
+
+    Each leaf becomes ``leaf_value(leaf)``; each internal node becomes
+    ``combine(node, child_values)`` once all its children are folded.
+    Returns the value of ``root``.
+    """
+    values: list = []
+    stack: list[tuple[RstLeaf | RstInternal, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, RstLeaf):
+            values.append(leaf_value(node))
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend((child.node, False) for child in reversed(node.children))
+        else:
+            k = len(node.children)
+            value = combine(node, values[-k:])
+            del values[-k:]
+            values.append(value)
+    return values[0]
+
+
+def _head_of(node: RstInternal, child_heads: list[int]) -> int:
+    for child, head in zip(node.children, child_heads):
+        if child.nuclearity is Nuclearity.NUCLEUS:
+            return head
     # satellite-only groups arise from binarization; fall back to the
     # leftmost child so percolation stays total
-    table[node] = head if head is not None else fallback
-    return table[node]
+    return child_heads[0]
 
 
 def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
     """Head EDU of every subtree: leftmost-Nucleus percolation."""
     table: dict[RstLeaf | RstInternal, int] = {}
-    _node_heads(tree.root, table)
+
+    def leaf_head(leaf: RstLeaf) -> int:
+        table[leaf] = leaf.edu_index
+        return leaf.edu_index
+
+    def node_head(node: RstInternal, child_heads: list[int]) -> int:
+        table[node] = head = _head_of(node, child_heads)
+        return head
+
+    _fold(tree.root, leaf_head, node_head)
     return table
 
 
 def _percolate(tree: RstTree) -> DependencyGraph:
-    heads = tree_heads(tree)
-    parent_of: dict[RstLeaf | RstInternal, tuple[RstInternal, str]] = {}
+    # each child headed by another EDU than its parent attaches its head
+    # to the parent's head; the root's head takes the root arc
+    arcs: list[DependencyArc] = []
 
-    def index_parents(node: RstLeaf | RstInternal) -> None:
-        if isinstance(node, RstLeaf):
-            return
-        for child in node.children:
-            parent_of[child.node] = (node, child.relation)
-            index_parents(child.node)
+    def attach(node: RstInternal, child_heads: list[int]) -> int:
+        head = _head_of(node, child_heads)
+        for child, child_head in zip(node.children, child_heads):
+            if child_head != head:
+                arcs.append(DependencyArc.make(child_head, head, SenseTag(child.relation)))
+        return head
 
-    index_parents(tree.root)
-
-    by_node: dict[int, RstLeaf] = {}
-
-    def collect(node: RstLeaf | RstInternal) -> None:
-        if isinstance(node, RstLeaf):
-            by_node[node.edu_index] = node
-            return
-        for child in node.children:
-            collect(child.node)
-
-    collect(tree.root)
-
-    arcs = []
-    for edu in sorted(by_node):
-        node: RstLeaf | RstInternal = by_node[edu]
-        # climb to the highest ancestor still headed by this EDU
-        while node in parent_of and heads[parent_of[node][0]] == edu:
-            node = parent_of[node][0]
-        if node not in parent_of:
-            arcs.append(DependencyArc.make(edu, ROOT, ROOT_SENSE))
-        else:
-            parent, relation = parent_of[node][0], parent_of[node][1]
-            arcs.append(DependencyArc.make(edu, heads[parent], SenseTag(relation)))
+    root_head = _fold(tree.root, lambda leaf: leaf.edu_index, attach)
+    arcs.append(DependencyArc.make(root_head, ROOT, ROOT_SENSE))
     return DependencyGraph(
         doc_id=tree.doc_id,
         unit_count=tree.leaf_count,
@@ -98,11 +105,9 @@ def hirao_convert(tree: RstTree) -> DependencyGraph:
     return _percolate(tree)
 
 
-def _binarize_node(node: RstLeaf | RstInternal) -> RstLeaf | RstInternal:
-    if isinstance(node, RstLeaf):
-        return node
+def _binarize_node(node: RstInternal, binarized: list[RstLeaf | RstInternal]) -> RstInternal:
     children = [
-        RstChild(_binarize_node(c.node), c.nuclearity, c.relation) for c in node.children
+        RstChild(b, c.nuclearity, c.relation) for c, b in zip(node.children, binarized)
     ]
     while len(children) > 2:
         left, right = children[0], children[1]
@@ -119,7 +124,7 @@ def _binarize_node(node: RstLeaf | RstInternal) -> RstLeaf | RstInternal:
 
 def binarize(tree: RstTree) -> RstTree:
     """Left-branching cascade binarization preserving child order and nuclearity."""
-    return RstTree(_binarize_node(tree.root), doc_id=tree.doc_id)
+    return RstTree(_fold(tree.root, lambda leaf: leaf, _binarize_node), doc_id=tree.doc_id)
 
 
 def li_convert(tree: RstTree) -> DependencyGraph:
@@ -151,16 +156,6 @@ def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> Dependen
     return DependencyGraph(graph.doc_id, graph.unit_count, tuple(arcs), graph.flavor)
 
 
-def load_label_map(path) -> dict[str, str]:
+def load_label_map(path: str | Path) -> dict[str, str]:
     """Read a two-column relation-to-class file (TAB separated)."""
-    from pathlib import Path
-
-    mapping = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"label-map line {line_no}: expected 2 tab-separated fields")
-        mapping[parts[0].strip()] = parts[1].strip()
-    return mapping
+    return {relation: cls for _, relation, cls in read_two_columns(path, "label-map")}

@@ -35,3 +35,18 @@ def wsj_graph(wsj_document, wsj_relations):
 @pytest.fixture(scope="session")
 def fig1_tree():
     return parse_dis_file(FIXTURES / "fig1.dis")
+
+
+@pytest.fixture(scope="session")
+def deep_dis_text() -> str:
+    """A right-branching tree 1,200 levels deep: each level is a Satellite
+    leaf followed by a Nucleus subtree holding the rest."""
+    n = 1200
+    lines = ["( Root (span 1 1200)"]
+    for i in range(1, n):
+        lines.append(f"( Satellite (leaf {i}) (rel2par elaboration) (text _!unit {i}_!) )")
+        if i < n - 1:
+            lines.append(f"( Nucleus (span {i + 1} {n}) (rel2par span)")
+    lines.append(f"( Nucleus (leaf {n}) (rel2par span) (text _!unit {n}_!) )")
+    lines.append(")" * (n - 1))
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from discodep import read_dep, read_metrics
+from discodep import read_dep, read_metrics, validate_graph
 from discodep.cli import main
 
 
@@ -135,6 +135,45 @@ class TestConvertRst:
         )
         text = (out / "fig1.csv").read_text()
         assert "1,3,2,preparation,ELABORATION," in text
+
+
+    @pytest.mark.parametrize("algo", ["hirao", "li"])
+    def test_deep_tree_converts_next_to_fig1(self, tmp_path, fixtures_dir, deep_dis_text, algo):
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / "fig1.dis")
+        (corpus / "deep.dis").write_text(deep_dis_text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("convert-rst", "--input", corpus, "--out", out, "--algo", algo) == 0
+        assert (out / "fig1.conll").exists()
+        graph = read_dep((out / "deep.conll").read_bytes(), "conll")
+        assert validate_graph(graph) == []
+        assert len(graph.arcs) == 1200
+        assert (out / "diagnostics.txt").read_text() == ""
+
+    def test_malformed_attributes_are_per_document(self, tmp_path, fixtures_dir):
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / "fig1.dis")
+        bad = {
+            "bad_leaf": "(leaf x)",
+            "bad_leaf_arity": "(leaf 1 2)",
+            "bad_span": "(span 1)",
+            "bad_span_field": "(span 1 x)",
+            "bad_text": "(text)",
+        }
+        for doc_id, attribute in bad.items():
+            (corpus / f"{doc_id}.dis").write_text(
+                f"( Root ( Nucleus (leaf 1) {attribute} ) ( Satellite (leaf 2) ) )\n"
+            )
+        out = tmp_path / "out"
+        assert run("convert-rst", "--input", corpus, "--out", out) == 0
+        assert (out / "fig1.conll").exists()
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert len(lines) == len(bad)
+        for doc_id, line in zip(sorted(bad), lines):
+            assert line.startswith(f"[dis-parse-error] {doc_id}: malformed")
+            assert not (out / f"{doc_id}.conll").exists()
 
 
 class TestMetricsCommand:

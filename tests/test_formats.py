@@ -132,6 +132,16 @@ class TestReadDep:
         with pytest.raises(FormatError, match="1..n in order"):
             read_dep(text, "conll")
 
+    @pytest.mark.parametrize("fmt", ["conll", "csv"])
+    @pytest.mark.parametrize(
+        "comment, message",
+        [("unit_count = many", "bad unit_count 'many'"), ("flavor = Tree", "unknown flavor 'Tree'")],
+    )
+    def test_bad_comment_value_names_line(self, fmt, comment, message):
+        text = f"# doc_id = d\n# {comment}\ndependent,head,distance,sense1,class,type\n"
+        with pytest.raises(FormatError, match=f"line 2: {message}"):
+            read_dep(text, fmt)
+
 
 _sense_text = st.text(alphabet="abcdefgXYZ-", min_size=1, max_size=8)
 

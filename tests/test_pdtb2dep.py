@@ -198,6 +198,15 @@ class TestConvertPdtb:
         (arc,) = graph.arcs
         assert (arc.dependent, arc.head) == (1, 2)
 
+    def test_head_rules_file_errors_name_the_line(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("# class\trule\ncondition\tmarked-head\ncause\n")
+        with pytest.raises(ValueError, match="head-rules line 3: expected 2 tab-separated fields"):
+            load_head_rules(path)
+        path.write_text("condition\tupside-down\n")
+        with pytest.raises(ValueError, match="head-rules line 1: unknown rule 'upside-down'"):
+            load_head_rules(path)
+
 
 def _random_single_unit_relations(rng, doc):
     relations = []

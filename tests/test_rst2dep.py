@@ -16,7 +16,7 @@ from discodep import (
     tree_heads,
     validate_graph,
 )
-from discodep.rst2dep import apply_label_map
+from discodep.rst2dep import apply_label_map, load_label_map
 
 N = Nuclearity.NUCLEUS
 S = Nuclearity.SATELLITE
@@ -221,3 +221,12 @@ def test_apply_label_map(fig1_tree):
     assert by_dep[5].sense.level2 == "CAUSE"
     assert by_dep[6].sense.level2 is None  # unmapped keeps empty class
     assert by_dep[3].sense.level2 == "NONE"  # root untouched
+
+
+def test_load_label_map(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_text("# relation\tclass\n\n Elaboration \tELABORATION\nresult\tCAUSE\n")
+    assert load_label_map(path) == {"Elaboration": "ELABORATION", "result": "CAUSE"}
+    path.write_text("elaboration\tELABORATION\nresult\n")
+    with pytest.raises(ValueError, match="label-map line 2: expected 2 tab-separated fields"):
+        load_label_map(path)

@@ -1,0 +1,139 @@
+"""Differential tests: the iterative RST route against the recursive seed route."""
+
+from itertools import pairwise
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import seed_rst
+from discodep import (
+    Nuclearity,
+    RstChild,
+    RstInternal,
+    RstLeaf,
+    RstTree,
+    binarize,
+    hirao_convert,
+    li_convert,
+    parse_dis,
+    pretty_print,
+)
+from discodep.rst import DisParseError, _tokenize
+
+N = Nuclearity.NUCLEUS
+S = Nuclearity.SATELLITE
+
+_relations = st.sampled_from(["span", "elaboration", "List", "Same-Unit", "attribution", "Contrast"])
+_fragments = st.text(alphabet='ab \\"(),.\n\t', min_size=1, max_size=12).filter(
+    lambda t: t.strip() == t and not t.endswith("\\")
+)
+
+
+@st.composite
+def rst_trees(draw, max_leaves=60):
+    """Random n-ary trees: 2-4 children per node, at least one Nucleus each.
+
+    Nodes whose first two children are satellites give satellite-only
+    groups once binarized.
+    """
+    with_text = draw(st.booleans())
+
+    def build(lo, hi):
+        if lo == hi:
+            return RstLeaf(lo, draw(_fragments) if with_text else None)
+        k = draw(st.integers(2, min(4, hi - lo + 1)))
+        cuts = draw(st.lists(st.integers(lo + 1, hi), min_size=k - 1, max_size=k - 1, unique=True))
+        nuclearity = draw(st.lists(st.sampled_from([N, S]), min_size=k, max_size=k))
+        if N not in nuclearity:
+            nuclearity[draw(st.integers(0, k - 1))] = N
+        bounds = pairwise([lo, *sorted(cuts), hi + 1])
+        return RstInternal(
+            tuple(
+                RstChild(build(a, b - 1), nuc, draw(_relations))
+                for (a, b), nuc in zip(bounds, nuclearity)
+            )
+        )
+
+    return RstTree(build(1, draw(st.integers(1, max_leaves))), doc_id="h")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=rst_trees())
+def test_converters_and_binarization_match_seed(tree):
+    assert hirao_convert(tree) == seed_rst.percolate(tree)
+    assert binarize(tree) == seed_rst.binarize(tree)
+    assert li_convert(tree) == seed_rst.percolate(seed_rst.binarize(tree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=rst_trees())
+def test_printer_tokens_and_parser_match_seed(tree):
+    text = pretty_print(tree)
+    assert text == seed_rst.pretty_print(tree)
+    assert _tokenize(text) == seed_rst.tokenize(text)
+    assert parse_dis(text, "h") == seed_rst.parse_dis(text, "h") == tree
+
+
+@given(text=st.text(alphabet="()_! ab\n\t\u00a0\u2003\\"))
+def test_tokens_match_seed_on_arbitrary_text(text):
+    assert _tokenize(text) == seed_rst.tokenize(text)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DisParseError as err:
+        return type(err), str(err)
+
+
+# each input holds exactly one defect
+SINGLE_DEFECTS = [
+    "",
+    "   \n",
+    "Root",
+    "(",
+    "( )",
+    "( Root",
+    "( Root (span 1 2)",
+    "( Nucleus (leaf 1) )",
+    "( Root ( Nucleus (leaf 1) ) ) )",
+    "( Root ( Nucleus (leaf 1) ) ) ( Root )",
+    "( Root ( Nucleus (leaf 1) ) junk )",
+    "( Root ( Nucleus (leaf 1) ) _!text_! )",
+    "( Root ( Nucleus (leaf 1) ) ( ( x ) ) )",
+    "( Root ( Nucleus (leaf 1) ) ( )",
+    "( Root ( Nucleus (leaf 1) (rel2par span )",
+    "( Root ( Nucleus (leaf 1) ) ( Satellite ) )",
+    "( Root ( Satellite (leaf 1) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) ) ( Root (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) ) ( Nucleus (leaf 3) ) )",
+    "( Root ( Nucleus (leaf 2) ) ( Nucleus (leaf 1) ) )",
+    "( Root (span 1 3) ( Nucleus (leaf 1) ) ( Nucleus (leaf 2) ) )",
+    "( Root (span 2 2) ( Nucleus (leaf 1) ) )",
+    "( Root (span 1 3) ( Nucleus (leaf 1) ) ( Satellite (span 2 3)"
+    " ( Satellite (leaf 2) ) ( Satellite (leaf 3) ) ) )",
+]
+
+# these still parse: a lone Satellite leaf under Root, or a Root-labelled
+# one, is unwrapped; the children of a leaf node are ignored
+ACCEPTED_ODDITIES = [
+    "( Root (span 1 1) ( Satellite (leaf 1) (rel2par elaboration) ) )",
+    "( Root ( Root (leaf 1) ) )",
+    "( Root (leaf 1) )",
+    "( Root ( Nucleus (leaf 1) ( Nucleus (leaf 7) ) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) (rel2par) (Promotion 1 (x y)) ) ( Satellite (leaf 2) ) )",
+]
+
+
+@pytest.mark.parametrize("text", SINGLE_DEFECTS + ACCEPTED_ODDITIES)
+def test_single_defect_outcomes_match_seed(text):
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.parse_dis, text)
+
+
+@pytest.mark.parametrize(
+    "attribute", ["(leaf x)", "(leaf)", "(leaf 1 2)", "(span 1)", "(span 1 x)", "(text)"]
+)
+def test_malformed_attribute_is_a_parse_error(attribute):
+    text = f"( Root ( Nucleus (leaf 1) {attribute} ) ( Satellite (leaf 2) ) )"
+    with pytest.raises(DisParseError, match="malformed"):
+        parse_dis(text)

@@ -55,6 +55,15 @@ def test_round_trip_pretty_print(fig1_tree):
     assert parse_dis(pretty_print(minimal)).root == minimal.root
 
 
+def test_deep_tree_round_trip(deep_dis_text):
+    tree = parse_dis(deep_dis_text)
+    assert tree.leaf_count == 1200
+    # compare printed text: dataclass == recurses on a tree this deep
+    text = pretty_print(tree)
+    assert pretty_print(parse_dis(text)) == text
+    assert text.count("(leaf ") == 1200
+
+
 def test_unbalanced_parens():
     with pytest.raises(UnbalancedParens):
         parse_dis("( Root (span 1 2) ( Nucleus (leaf 1) (rel2par span) )")
