@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -31,8 +32,32 @@ def _merge(spans: Iterable[Span]) -> tuple[Span, ...]:
     return tuple(merged)
 
 
-def _overlap_with_set(spans: tuple[Span, ...], edu_span: Span) -> int:
-    return sum(edu_span.overlap(s) for s in spans)
+def _covered(spans: Iterable[Span], doc: Document) -> dict[int, int]:
+    """Characters of the merged span set inside each EDU it touches, in EDU order.
+
+    EDUs are sorted and disjoint, so each span bisects to the first EDU
+    ending after its start and walks forward only over the EDUs it overlaps.
+    """
+    edus = doc.edus
+    covered: dict[int, int] = {}
+    for span in _merge(spans):
+        pos = bisect_right(edus, span.start, key=lambda e: e[1].end)
+        while pos < len(edus) and edus[pos][1].start < span.end:
+            index, edu_span = edus[pos]
+            covered[index] = covered.get(index, 0) + edu_span.overlap(span)
+            pos += 1
+    return covered
+
+
+def _align(
+    spans: Iterable[Span], doc: Document, theta: float
+) -> tuple[set[int], dict[int, int]]:
+    """EDUs meeting theta, and the covered characters they were chosen from."""
+    if not 0 < theta <= 1:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    covered = _covered(spans, doc)
+    hits = {i for i, chars in covered.items() if chars >= theta * len(doc.span_of(i))}
+    return hits, covered
 
 
 def map_span_set(spans: Iterable[Span], doc: Document, theta: float = DEFAULT_THETA) -> set[int]:
@@ -41,14 +66,7 @@ def map_span_set(spans: Iterable[Span], doc: Document, theta: float = DEFAULT_TH
     Monotone in the span set; theta=1 keeps only fully covered EDUs and
     theta near 0 keeps every EDU touched by at least one character.
     """
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
-    merged = _merge(spans)
-    hits = set()
-    for index, edu_span in doc.edus:
-        if _overlap_with_set(merged, edu_span) >= theta * len(edu_span):
-            hits.add(index)
-    return hits
+    return _align(spans, doc, theta)[0]
 
 
 def resolve_span_set(
@@ -64,28 +82,21 @@ def resolve_span_set(
     is used (ties go to the earlier EDU) and the fallback is logged as a
     diagnostic. Raises EmptyAlignment when nothing overlaps at all.
     """
-    merged = _merge(spans)
-    hits = map_span_set(merged, doc, theta)
+    hits, covered = _align(spans, doc, theta)
     if hits:
         return hits
-    best_index = None
-    best_overlap = 0
-    for index, edu_span in doc.edus:
-        ov = _overlap_with_set(merged, edu_span)
-        if ov > best_overlap:
-            best_overlap = ov
-            best_index = index
-    if best_index is None:
+    if not covered:
         raise EmptyAlignment(
             f"{doc.doc_id}: {context or 'argument'} overlaps no EDU "
             f"(inventory of {doc.unit_count})"
         )
+    best_index = max(covered, key=covered.__getitem__)
     if diagnostics is not None:
         diagnostics.append(
             Diagnostic(
                 "alignment-fallback",
                 f"{context or 'argument'} meets theta={theta:g} for no EDU; "
-                f"falling back to EDU {best_index} ({best_overlap} chars)",
+                f"falling back to EDU {best_index} ({covered[best_index]} chars)",
                 doc_id=doc.doc_id,
             )
         )

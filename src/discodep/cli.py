@@ -13,6 +13,7 @@ import logging
 import os
 import random
 import sys
+from collections.abc import Container
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,19 +50,32 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
 
 
-def _collect(path: Path, suffix: str) -> list[Path]:
+def _collect(path: Path, suffixes: Container[str]) -> list[Path]:
     if path.is_file():
         return [path]
     if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix == suffix and p.is_file())
+        return sorted(p for p in path.iterdir() if p.suffix in suffixes and p.is_file())
     raise FileNotFoundError(f"input path does not exist: {path}")
 
 
-def _parallel_map(fn, items, workers: int):
+def _parallel_map(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` in item order; an item whose call raises yields
+    the exception instead, so one document never aborts a batch."""
+
+    def guarded(item):
+        try:
+            return fn(item)
+        except Exception as err:
+            return err
+
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [guarded(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(guarded, items))
+
+
+def _failure(err: Exception) -> str:
+    return f"{type(err).__name__}: {err}"
 
 
 def _write_report(out_dir: Path, diagnostics: list[Diagnostic]) -> None:
@@ -72,18 +86,29 @@ def _write_report(out_dir: Path, diagnostics: list[Diagnostic]) -> None:
     (out_dir / "diagnostics.txt").write_text(body, encoding="utf-8")
 
 
-def _finish_conversion(args, results) -> int:
+def _finish_conversion(args, files: list[Path], results: list) -> int:
+    """Write each document's payload and all diagnostics, in doc_id order.
+
+    A document whose conversion raised gets a ``doc-failed`` diagnostic
+    and makes the run exit 1; the other documents are still written.
+    """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics: list[Diagnostic] = []
-    for doc_id, payload, diags in sorted(results, key=lambda r: r[0]):
+    failed = False
+    for path, result in sorted(zip(files, results), key=lambda r: r[0].stem):
+        if isinstance(result, Exception):
+            failed = True
+            diagnostics.append(Diagnostic("doc-failed", _failure(result), doc_id=path.stem))
+            continue
+        payload, diags = result
         diagnostics.extend(diags)
         if payload is not None:
-            (out_dir / (doc_id + _EXT[args.format])).write_bytes(payload)
+            (out_dir / (path.stem + _EXT[args.format])).write_bytes(payload)
     _write_report(out_dir, diagnostics)
     for diag in diagnostics:
         log.info("%s", diag)
-    if diagnostics and getattr(args, "strict", False):
+    if failed or (diagnostics and args.strict):
         return EXIT_DIAGNOSTICS
     return EXIT_OK
 
@@ -92,7 +117,7 @@ def cmd_convert_pdtb(args) -> int:
     columns = ColumnMap.from_string(args.columns) if args.columns else DEFAULT_COLUMNS
     head_rules = load_head_rules(args.head_rules) if args.head_rules else DEFAULT_HEAD_RULES
     documents = read_segmentation(args.edus)
-    files = _collect(Path(args.input), ".pdtb")
+    files = _collect(Path(args.input), (".pdtb",))
 
     def one(path: Path):
         doc_id = path.stem
@@ -106,21 +131,20 @@ def cmd_convert_pdtb(args) -> int:
                     doc_id=doc_id,
                 )
             )
-            return doc_id, None, diags
+            return None, diags
         graph, conv_diags = convert_pdtb(
             doc, relations, theta=args.theta, head_rules=head_rules
         )
         diags.extend(conv_diags)
-        return doc_id, write_dep(graph, args.format), diags
+        return write_dep(graph, args.format), diags
 
-    results = _parallel_map(one, files, args.workers)
-    return _finish_conversion(args, results)
+    return _finish_conversion(args, files, _parallel_map(one, files, args.workers))
 
 
 def cmd_convert_rst(args) -> int:
     label_map = load_label_map(args.label_map) if args.label_map else None
     convert = hirao_convert if args.algo == "hirao" else li_convert
-    files = _collect(Path(args.input), ".dis")
+    files = _collect(Path(args.input), (".dis",))
 
     def one(path: Path):
         doc_id = path.stem
@@ -129,14 +153,13 @@ def cmd_convert_rst(args) -> int:
             tree = parse_dis_file(path)
         except DisParseError as err:
             diags.append(Diagnostic("dis-parse-error", str(err), doc_id=doc_id))
-            return doc_id, None, diags
+            return None, diags
         graph = convert(tree)
         if label_map:
             graph = apply_label_map(graph, label_map)
-        return doc_id, write_dep(graph, args.format), diags
+        return write_dep(graph, args.format), diags
 
-    results = _parallel_map(one, files, args.workers)
-    return _finish_conversion(args, results)
+    return _finish_conversion(args, files, _parallel_map(one, files, args.workers))
 
 
 def _read_dep_file(path: Path):
@@ -150,22 +173,22 @@ def _read_dep_file(path: Path):
 
 
 def cmd_metrics(args) -> int:
-    paths: list[Path] = []
-    in_path = Path(args.input)
-    if in_path.is_dir():
-        paths = sorted(
-            p for p in in_path.iterdir() if p.suffix in _EXT_TO_FORMAT and p.is_file()
-        )
-    else:
-        paths = [in_path]
+    """Metrics of every readable file; each unreadable one is an ``error:``
+    line on stderr and makes the run exit 1."""
+    paths = _collect(Path(args.input), _EXT_TO_FORMAT)
 
     def one(path: Path):
         graph = _read_dep_file(path)
         return metrics_record(graph, args.mode)
 
-    records = _parallel_map(one, paths, args.workers)
+    records = []
+    for path, result in zip(paths, _parallel_map(one, paths, args.workers)):
+        if isinstance(result, Exception):
+            print(f"error: {path}: {_failure(result)}", file=sys.stderr)
+        else:
+            records.append(result)
     Path(args.out).write_bytes(write_metrics(records))
-    return EXIT_OK
+    return EXIT_DIAGNOSTICS if len(records) < len(paths) else EXIT_OK
 
 
 def cmd_correlate(args) -> int:

@@ -133,6 +133,19 @@ def _graph(meta: dict, unit_count: int, arcs: list[DependencyArc]) -> Dependency
     return DependencyGraph(meta.get("doc_id", ""), unit_count, tuple(arcs), flavor)
 
 
+def _check_distance(field: str, arc: DependencyArc, line_no: int) -> None:
+    """A declared distance column must be an integer equal to the arc's distance."""
+    try:
+        distance = int(field)
+    except ValueError:
+        raise FormatError(f"line {line_no}: bad distance {field!r}") from None
+    if arc.distance != distance:
+        raise FormatError(
+            f"line {line_no}: distance column {field} disagrees with "
+            f"|{arc.dependent} - {arc.head}|"
+        )
+
+
 def _read_conll(text: str) -> DependencyGraph:
     meta, body = _split_comments(text)
     arcs = []
@@ -161,10 +174,8 @@ def _read_conll(text: str) -> DependencyGraph:
             arc = DependencyArc.make(unit, head, sense)
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
-        if fields[5] != "_" and arc.distance != int(fields[5]):
-            raise FormatError(
-                f"line {line_no}: distance column {fields[5]} disagrees with |{unit} - {head}|"
-            )
+        if fields[5] != "_":
+            _check_distance(fields[5], arc, line_no)
         arcs.append(arc)
     return _graph(meta, unit_count, arcs)
 
@@ -209,11 +220,8 @@ def _read_csv(text: str) -> DependencyGraph:
             arc = DependencyArc.make(dependent, head, sense)
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
-        if fields[2] != "" and arc.distance != int(fields[2]):
-            raise FormatError(
-                f"line {line_no}: distance column {fields[2]} disagrees with "
-                f"|{dependent} - {head}|"
-            )
+        if fields[2] != "":
+            _check_distance(fields[2], arc, line_no)
         arcs.append(arc)
         max_unit = max(max_unit, dependent, head)
     return _graph(meta, meta.get("unit_count", max_unit), arcs)

@@ -7,6 +7,7 @@ concurrent workers.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -271,27 +272,51 @@ class DependencyGraph:
 
 
 def _cycles(arcs: tuple[DependencyArc, ...]) -> list[list[int]]:
-    """Cycles among non-root arcs, each reported once from its smallest unit."""
+    """Units of each strongly connected component that holds a cycle, sorted.
+
+    Iterative Tarjan over the non-root dependent -> head arcs: linear in
+    units plus arcs, and no recursion. Components come in order of their
+    smallest unit.
+    """
     heads: dict[int, list[int]] = {}
     for arc in arcs:
         if not arc.is_root:
             heads.setdefault(arc.dependent, []).append(arc.head)
-    cycles = []
-    seen: set[frozenset[int]] = set()
-    for start in sorted(heads):
-        # walk every head chain; graphs may be multi-headed, so DFS
-        stack = [(start, [start])]
-        while stack:
-            node, path = stack.pop()
-            for nxt in heads.get(node, []):
-                if nxt == start:
-                    key = frozenset(path)
-                    if key not in seen and start == min(path):
-                        seen.add(key)
-                        cycles.append(path)
-                elif nxt not in path:
-                    stack.append((nxt, path + [nxt]))
-    return cycles
+    low: dict[int, float] = {}  # lowlink; inf once the unit's component is closed
+    stack: list[int] = []
+    work: list = []  # (unit, discovery index, stack height before it, heads left)
+    components = []
+
+    def visit(unit: int) -> None:
+        low[unit] = len(low)
+        work.append((unit, low[unit], len(stack), iter(heads[unit])))
+        stack.append(unit)
+
+    for root in heads:
+        if root not in low:
+            visit(root)
+        while work:
+            unit, index, height, nexts = work[-1]
+            for nxt in nexts:
+                if nxt not in heads:
+                    continue  # a unit without heads lies on no cycle
+                if nxt not in low:
+                    visit(nxt)
+                    break
+                low[unit] = min(low[unit], low[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[unit])
+                if low[unit] == index:
+                    component = stack[height:]
+                    del stack[height:]
+                    for member in component:
+                        low[member] = math.inf
+                    if len(component) > 1:
+                        components.append(sorted(component))
+    return sorted(components)
 
 
 def validate_graph(graph: DependencyGraph) -> list[Diagnostic]:

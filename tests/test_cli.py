@@ -87,6 +87,32 @@ class TestConvertPdtb:
         graph = read_dep((out / "wsj_0618.json").read_bytes(), "json")
         assert len(graph.arcs) == 11 and graph.doc_id == "wsj_0618"
 
+    def test_multi_headed_conll_document_fails_alone(self, tmp_path, pdtb_corpus, seg_file):
+        # two symmetric relations, 1-2 and 1-3, give unit 1 two heads, which
+        # conll cannot hold; wsj_0618 next to it must still be written
+        def row(arg2):
+            fields = [""] * 32
+            fields[0], fields[8], fields[14], fields[20] = (
+                "Implicit", "Expansion.Conjunction", "0..10", arg2,
+            )
+            return "|".join(fields) + "\n"
+
+        (pdtb_corpus / "multi.pdtb").write_text(row("10..20") + row("20..30"))
+        seg = tmp_path / "corpus.seg"
+        seg.write_text(seg_file.read_text() + "multi\t1\t0\t10\nmulti\t2\t10\t20\nmulti\t3\t20\t30\n")
+        out = tmp_path / "out"
+        code = run(
+            "convert-pdtb", "--input", pdtb_corpus, "--edus", seg, "--out", out, "--format", "conll"
+        )
+        assert code == 1
+        assert (out / "wsj_0618.conll").exists()
+        assert not (out / "multi.conll").exists()
+        lines = (out / "diagnostics.txt").read_text().splitlines()
+        assert lines[0] == (
+            "[doc-failed] multi: FormatError: conll cannot represent unit 1 with multiple heads"
+        )
+        assert all("wsj_0618" in line for line in lines[1:])
+
     def test_missing_input_is_usage_error(self, tmp_path, seg_file):
         assert run(
             "convert-pdtb", "--input", tmp_path / "nope", "--edus", seg_file,
@@ -190,6 +216,16 @@ class TestMetricsCommand:
         out = tmp_path / "m.csv"
         assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 0
         assert "fig1,11,11,3.100000,2.282786" in out.read_text()
+
+    def test_bad_file_fails_alone(self, tmp_path, fixtures_dir, capsys):
+        dep = tmp_path / "dep"
+        run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", dep)
+        (dep / "bad.conll").write_text("1\t2\tx\t_\t_\tfar\n2\t_\t_\t_\t_\t_\n")
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 1
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+        err = capsys.readouterr().err
+        assert f"error: {dep / 'bad.conll'}: FormatError: line 1: bad distance 'far'" in err
 
     def test_empty_dep_file_gives_empty_cells(self, tmp_path):
         dep = tmp_path / "empty.conll"

@@ -127,6 +127,17 @@ class TestReadDep:
         with pytest.raises(FormatError, match="disagrees"):
             read_dep(text, "conll")
 
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("conll", "# flavor = LocalForest\n1\t2\tx\t_\t_\tfar\n2\t_\t_\t_\t_\t_\n"),
+            ("csv", "dependent,head,distance,sense1,class,type\n1,2,far,x,,\n"),
+        ],
+    )
+    def test_non_integer_distance_is_format_error(self, fmt, text):
+        with pytest.raises(FormatError, match="line 2: bad distance 'far'"):
+            read_dep(text, fmt)
+
     def test_conll_out_of_order_units_rejected(self):
         text = "2\t_\t_\t_\t_\t_\n1\t_\t_\t_\t_\t_\n"
         with pytest.raises(FormatError, match="1..n in order"):

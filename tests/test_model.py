@@ -1,5 +1,9 @@
-import pytest
+import time
 
+import pytest
+from hypothesis import given, strategies as st
+
+import seed_model
 from discodep import (
     DependencyArc,
     DependencyGraph,
@@ -9,6 +13,7 @@ from discodep import (
     Span,
     validate_graph,
 )
+from discodep.model import _cycles
 
 
 def arc(dep, head, l1="Expansion", l2="Conjunction"):
@@ -106,6 +111,27 @@ class TestValidateGraph:
         diags = validate_graph(forest(2, [arc(1, 2), arc(2, 1)]))
         assert sum(d.code == "cycle" for d in diags) == 1
 
+    def test_one_cycle_line_per_component_in_sorted_order(self):
+        # 1 -> 3 -> 2 -> 1 and 2 -> 4 -> 2 share unit 2: one component
+        arcs = [arc(1, 3), arc(3, 2), arc(2, 1), arc(2, 4), arc(4, 2), arc(6, 5), arc(5, 6)]
+        cycles = [d.message for d in validate_graph(forest(6, arcs)) if d.code == "cycle"]
+        assert cycles == [
+            "dependency cycle through units 1, 2, 3, 4",
+            "dependency cycle through units 5, 6",
+        ]
+
+    def test_long_chain_and_dense_forest_validate_fast(self):
+        # a single-headed chain of 1,199 arcs, and an acyclic forest where
+        # unit i has heads i+1 and i+2: simple-path enumeration is cubic on
+        # the first and exponential on the second
+        chain = forest(1200, [arc(i, i + 1) for i in range(1, 1200)])
+        dense = forest(40, [arc(i, h) for i in range(1, 40) for h in (i + 1, i + 2) if h <= 40])
+        for graph in (chain, dense):
+            start = time.perf_counter()
+            diags = validate_graph(graph)
+            assert time.perf_counter() - start < 2
+            assert not any(d.code == "cycle" for d in diags)
+
     def test_forest_rejects_root_arc(self):
         diags = validate_graph(forest(2, [arc(1, 0)]))
         assert any(d.code == "unexpected-root" for d in diags)
@@ -126,3 +152,30 @@ class TestValidateGraph:
 
     def test_valid_forest_has_at_most_n_minus_1_arcs(self, wsj_graph):
         assert len(wsj_graph.arcs) <= wsj_graph.unit_count - 1
+
+
+def _merge_overlapping(cycles):
+    """Union of the cycles that share units, transitively: the cyclic components."""
+    groups: list[set[int]] = []
+    for cycle in cycles:
+        group = set(cycle)
+        for other in [g for g in groups if g & group]:
+            groups.remove(other)
+            group |= other
+        groups.append(group)
+    return sorted(sorted(g) for g in groups)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(1, n), st.integers(0, n)).filter(lambda t: t[0] != t[1]),
+            max_size=3 * n,
+        )
+    )
+)
+def test_components_match_simple_cycle_enumeration(pairs):
+    """Every unit on a simple cycle is in a reported component, and the
+    components are exactly the groups of cycles that share units."""
+    arcs = tuple(arc(dep, head) for dep, head in pairs)
+    assert _cycles(arcs) == _merge_overlapping(seed_model.cycles(arcs))
