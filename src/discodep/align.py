@@ -120,10 +120,10 @@ def parse_segmentation(text: str) -> dict[str, Document]:
             )
         doc_id, index_s, start_s, end_s = (p.strip() for p in parts)
         try:
-            index, start, end = int(index_s), int(start_s), int(end_s)
+            index, span = int(index_s), Span(int(start_s), int(end_s))
         except ValueError as err:
             raise SegmentationError(f"line {line_no}: {err}") from None
-        per_doc.setdefault(doc_id, []).append((index, Span(start, end)))
+        per_doc.setdefault(doc_id, []).append((index, span))
     documents = {}
     for doc_id, edus in per_doc.items():
         try:

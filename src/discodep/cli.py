@@ -1,8 +1,8 @@
 """Command-line toolkit: conversion pipelines, metrics, correlation, splits.
 
 Every command is deterministic given its flags and inputs: documents are
-processed by a parallel map whose results are reduced in doc_id order,
-so the worker count never changes output bytes.
+processed one at a time in path order and diagnostics are written sorted,
+and ``--workers`` selects nothing, so it never changes output bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from collections.abc import Container
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -58,20 +57,16 @@ def _collect(path: Path, suffixes: Container[str]) -> list[Path]:
     raise FileNotFoundError(f"input path does not exist: {path}")
 
 
-def _parallel_map(fn, items, workers: int) -> list:
-    """``fn`` over ``items`` in item order; an item whose call raises yields
-    the exception instead, so one document never aborts a batch."""
-
-    def guarded(item):
+def _each(fn, items):
+    """``(item, fn(item))`` for each item in order, one at a time; an item
+    whose call raises pairs with the exception instead, so one document
+    never aborts a batch."""
+    for item in items:
         try:
-            return fn(item)
+            result = fn(item)
         except Exception as err:
-            return err
-
-    if workers <= 1:
-        return [guarded(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, items))
+            result = err
+        yield item, result
 
 
 def _failure(err: Exception) -> str:
@@ -86,8 +81,8 @@ def _write_report(out_dir: Path, diagnostics: list[Diagnostic]) -> None:
     (out_dir / "diagnostics.txt").write_text(body, encoding="utf-8")
 
 
-def _finish_conversion(args, files: list[Path], results: list) -> int:
-    """Write each document's payload and all diagnostics, in doc_id order.
+def _convert_all(args, one, files: list[Path]) -> int:
+    """Convert each file with ``one``, writing its payload, then all diagnostics.
 
     A document whose conversion raised gets a ``doc-failed`` diagnostic
     and makes the run exit 1; the other documents are still written.
@@ -96,7 +91,7 @@ def _finish_conversion(args, files: list[Path], results: list) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics: list[Diagnostic] = []
     failed = False
-    for path, result in sorted(zip(files, results), key=lambda r: r[0].stem):
+    for path, result in _each(one, files):
         if isinstance(result, Exception):
             failed = True
             diagnostics.append(Diagnostic("doc-failed", _failure(result), doc_id=path.stem))
@@ -138,7 +133,7 @@ def cmd_convert_pdtb(args) -> int:
         diags.extend(conv_diags)
         return write_dep(graph, args.format), diags
 
-    return _finish_conversion(args, files, _parallel_map(one, files, args.workers))
+    return _convert_all(args, one, files)
 
 
 def cmd_convert_rst(args) -> int:
@@ -159,7 +154,7 @@ def cmd_convert_rst(args) -> int:
             graph = apply_label_map(graph, label_map)
         return write_dep(graph, args.format), diags
 
-    return _finish_conversion(args, files, _parallel_map(one, files, args.workers))
+    return _convert_all(args, one, files)
 
 
 def _read_dep_file(path: Path):
@@ -182,7 +177,7 @@ def cmd_metrics(args) -> int:
         return metrics_record(graph, args.mode)
 
     records = []
-    for path, result in zip(paths, _parallel_map(one, paths, args.workers)):
+    for path, result in _each(one, paths):
         if isinstance(result, Exception):
             print(f"error: {path}: {_failure(result)}", file=sys.stderr)
         else:
@@ -269,8 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument(
+        "--workers", type=int, metavar="N",
+        help="accepted for compatibility; documents always run one at a time",
+    )
 
-    p = sub.add_parser("convert-pdtb", help="PDTB relation files to local dependency forests")
+    p = sub.add_parser("convert-pdtb", parents=[batch], help="PDTB relation files to local dependency forests")
     p.add_argument("--input", required=True, help="relation file or directory of <doc_id>.pdtb files")
     p.add_argument("--edus", required=True, help="segmentation file (doc_id TAB index TAB start TAB end)")
     p.add_argument("--out", required=True, help="output directory")
@@ -279,24 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", help="comma-separated field index override (8 indices)")
     p.add_argument("--head-rules", help="per-class head rule override file")
     p.add_argument("--strict", action="store_true", help="exit 1 when any diagnostic is produced")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_convert_pdtb)
 
-    p = sub.add_parser("convert-rst", help="RST .dis trees to rooted dependency trees")
+    p = sub.add_parser("convert-rst", parents=[batch], help="RST .dis trees to rooted dependency trees")
     p.add_argument("--input", required=True, help=".dis file or directory")
     p.add_argument("--algo", choices=("hirao", "li"), default="hirao")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=FORMATS, default="conll")
     p.add_argument("--label-map", help="relation TAB class mapping file")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_convert_rst)
 
-    p = sub.add_parser("metrics", help="per-document MDD/SD over dependency files")
+    p = sub.add_parser("metrics", parents=[batch], help="per-document MDD/SD over dependency files")
     p.add_argument("--input", required=True, help="dependency file or directory")
     p.add_argument("--mode", choices=("local", "rooted"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("correlate", help="Pearson correlation between paired metrics files")

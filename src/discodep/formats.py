@@ -90,6 +90,19 @@ def _write_conll(graph: DependencyGraph) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+_HEADER_FIELDS = {"doc_id": str, "unit_count": int, "flavor": GraphFlavor}
+
+
+def _header_field(key: str, value, where: str):
+    """A doc_id, unit_count or flavor value parsed to its type; a bad one
+    raises FormatError prefixed with ``where``."""
+    try:
+        return _HEADER_FIELDS[key](value)
+    except (OverflowError, TypeError, ValueError):
+        bad = "unknown" if key == "flavor" else "bad"
+        raise FormatError(f"{where}{bad} {key} {value!r}") from None
+
+
 def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
     """Split ``# key = value`` comments from the other non-blank lines.
 
@@ -104,20 +117,8 @@ def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
             continue
         key, sep, value = line[1:].partition("=")
         key, value = key.strip(), value.strip()
-        if not sep:
-            continue
-        if key == "doc_id":
-            meta[key] = value
-        elif key == "unit_count":
-            try:
-                meta[key] = int(value)
-            except ValueError:
-                raise FormatError(f"line {line_no}: bad unit_count {value!r}") from None
-        elif key == "flavor":
-            try:
-                meta[key] = GraphFlavor(value)
-            except ValueError:
-                raise FormatError(f"line {line_no}: unknown flavor {value!r}") from None
+        if sep and key in _HEADER_FIELDS:
+            meta[key] = _header_field(key, value, f"line {line_no}: ")
     return meta, body
 
 
@@ -256,29 +257,29 @@ def _read_json(text: str) -> DependencyGraph:
         raise FormatError(f"invalid json at line {err.lineno} column {err.colno}: {err.msg}") from None
     if not isinstance(payload, dict):
         raise FormatError("json root must be an object")
-    try:
-        flavor = GraphFlavor(payload.get("flavor", GraphFlavor.LOCAL_FOREST.value))
-    except ValueError:
-        raise FormatError(f"unknown flavor {payload.get('flavor')!r}") from None
+    meta = {key: _header_field(key, payload[key], "") for key in _HEADER_FIELDS if key in payload}
+    entries = payload.get("arcs", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"arcs must be a list, got {type(entries).__name__}")
     arcs = []
-    for i, entry in enumerate(payload.get("arcs", [])):
+    for i, entry in enumerate(entries):
         try:
             sense_obj = entry.get("sense", {})
             sense = SenseTag(
                 sense_obj["level1"], sense_obj.get("level2"), sense_obj.get("level3")
             )
             arc = DependencyArc.make(int(entry["dependent"]), int(entry["head"]), sense)
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
             raise FormatError(f"arc {i}: {err}") from None
         declared = entry.get("distance")
         if declared is not None and declared != arc.distance:
             raise FormatError(f"arc {i}: distance {declared} disagrees with computed {arc.distance}")
         arcs.append(arc)
     return DependencyGraph(
-        str(payload.get("doc_id", "")),
-        int(payload.get("unit_count", 0)),
+        meta.get("doc_id", ""),
+        meta.get("unit_count", 0),
         tuple(arcs),
-        flavor,
+        meta.get("flavor", GraphFlavor.LOCAL_FOREST),
     )
 
 

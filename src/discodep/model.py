@@ -181,6 +181,18 @@ class RstChild:
 class RstInternal:
     children: tuple[RstChild, ...]
 
+    # the generated hash would walk the whole subtree on every call; children
+    # are built first, so hashing them here reads their cached hashes
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.children))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: str hashes differ between processes
+        return RstInternal, (self.children,)
+
     @property
     def leaf_indices(self) -> tuple[int, ...]:
         return tuple(leaf.edu_index for leaf in iter_leaves(self))

@@ -115,6 +115,14 @@ class TestSegmentationFile:
         with pytest.raises(SegmentationError):
             parse_segmentation("doc\t1\t0\t5\ndoc\t3\t6\t9\n")
 
+    @pytest.mark.parametrize(
+        "line, span", [("d1\t2\t9\t9", "[9, 9)"), ("d1\t2\t9\t4", "[9, 4)"), ("d1\t2\t-1\t4", "[-1, 4)")]
+    )
+    def test_bad_edu_span_names_line(self, line, span):
+        with pytest.raises(SegmentationError) as info:
+            parse_segmentation(f"d1\t1\t0\t9\n{line}\n")
+        assert str(info.value) == f"line 2: invalid span {span}"
+
     def test_comments_and_blanks_skipped(self):
         docs = parse_segmentation("# comment\n\ndoc\t1\t0\t5\n")
         assert docs["doc"].unit_count == 1

@@ -1,9 +1,10 @@
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
 
-from discodep import read_dep, read_metrics, validate_graph
+from discodep import hirao_convert, read_dep, read_metrics, validate_graph
 from discodep.cli import main
 
 
@@ -201,6 +202,21 @@ class TestConvertRst:
             assert line.startswith(f"[dis-parse-error] {doc_id}: malformed")
             assert not (out / f"{doc_id}.conll").exists()
 
+    def test_workers_run_on_calling_thread(self, tmp_path, fixtures_dir, monkeypatch):
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        for doc_id in ("a", "b", "c"):
+            shutil.copy(fixtures_dir / "fig1.dis", corpus / f"{doc_id}.dis")
+        threads = []
+
+        def recording(tree):
+            threads.append(threading.get_ident())
+            return hirao_convert(tree)
+
+        monkeypatch.setattr("discodep.cli.hirao_convert", recording)
+        assert run("convert-rst", "--input", corpus, "--out", tmp_path / "out", "--workers", 2) == 0
+        assert threads == [threading.get_ident()] * 3
+
 
 class TestMetricsCommand:
     def test_local_metrics_values(self, tmp_path, pdtb_corpus, seg_file):
@@ -226,6 +242,15 @@ class TestMetricsCommand:
         assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
         err = capsys.readouterr().err
         assert f"error: {dep / 'bad.conll'}: FormatError: line 1: bad distance 'far'" in err
+
+    def test_malformed_json_is_format_error(self, tmp_path, fixtures_dir, capsys):
+        dep = tmp_path / "dep"
+        run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", dep)
+        (dep / "bad.json").write_text('{"arcs": [5]}')
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 1
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+        assert f"error: {dep / 'bad.json'}: FormatError: arc 0: " in capsys.readouterr().err
 
     def test_empty_dep_file_gives_empty_cells(self, tmp_path):
         dep = tmp_path / "empty.conll"
@@ -277,6 +302,20 @@ class TestValidateCommand:
     def test_anomalous_graph_exits_one(self, tmp_path, fixtures_dir, capsys):
         assert run("validate", "--input", fixtures_dir / "fig1_local.json") == 1
         assert "multiple heads" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"arcs": 5}', "arcs must be a list, got int"),
+            ('{"arcs": [5]}', "arc 0: "),
+            ('{"unit_count": "many"}', "bad unit_count 'many'"),
+        ],
+    )
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("validate", "--input", bad) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestSplit:

@@ -122,6 +122,24 @@ class TestReadDep:
         with pytest.raises(FormatError, match="line"):
             read_dep("{", "json")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"arcs": 5}', "arcs must be a list, got int"),
+            ('{"arcs": null}', "arcs must be a list, got NoneType"),
+            ('{"arcs": [5]}', "arc 0: "),
+            ('{"unit_count": "many"}', "bad unit_count 'many'"),
+            ('{"unit_count": null}', "bad unit_count None"),
+            ('{"unit_count": Infinity}', "bad unit_count inf"),
+            ('{"flavor": "Tree"}', "unknown flavor 'Tree'"),
+            ('{"arcs": [{"dependent": Infinity, "head": 1, "sense": {"level1": "x"}}]}', "arc 0: "),
+        ],
+    )
+    def test_json_malformed_field_is_format_error(self, text, message):
+        with pytest.raises(FormatError) as info:
+            read_dep(text, "json")
+        assert str(info.value).startswith(message)
+
     def test_conll_distance_mismatch_rejected(self):
         text = "# flavor = LocalForest\n1\t2\tx\t_\t_\t5\n2\t_\t_\t_\t_\t_\n"
         with pytest.raises(FormatError, match="disagrees"):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -56,6 +57,20 @@ class TestTreeHeads:
 
     def test_fig1_root_head(self, fig1_tree):
         assert tree_heads(fig1_tree)[fig1_tree.root] == 3
+
+    def test_deep_tree(self, deep_dis_text):
+        t = parse_dis(deep_dis_text)
+        heads = tree_heads(t)
+        assert len(heads) == 2 * 1200 - 1
+        assert heads[t.root] == 1200
+        assert sorted(h for n, h in heads.items() if isinstance(n, RstLeaf)) == list(range(1, 1201))
+
+    def test_unpickled_node_rehashes(self):
+        # a cached hash must not travel: str hashes differ between processes
+        children = ((leaf(1), N, "span"), (leaf(2), S, "elaboration"))
+        pair = node(*children)
+        object.__setattr__(pair, "_hash", 0)
+        assert hash(pickle.loads(pickle.dumps(pair))) == hash(node(*children))
 
 
 class TestHiraoConvert:
