@@ -255,6 +255,8 @@ def _read_json(text: str) -> DependencyGraph:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise FormatError(f"invalid json at line {err.lineno} column {err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise FormatError("json nested too deeply") from None
     if not isinstance(payload, dict):
         raise FormatError("json root must be an object")
     meta = {key: _header_field(key, payload[key], "") for key in _HEADER_FIELDS if key in payload}
@@ -268,6 +270,10 @@ def _read_json(text: str) -> DependencyGraph:
             sense = SenseTag(
                 sense_obj["level1"], sense_obj.get("level2"), sense_obj.get("level3")
             )
+            for key in ("level1", "level2", "level3"):
+                value = getattr(sense, key)
+                if not isinstance(value, str) and (key == "level1" or value is not None):
+                    raise FormatError(f"arc {i}: sense {key} must be a string, got {value!r}")
             arc = DependencyArc.make(int(entry["dependent"]), int(entry["head"]), sense)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
             raise FormatError(f"arc {i}: {err}") from None

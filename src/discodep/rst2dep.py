@@ -78,9 +78,12 @@ def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
     return table
 
 
-def _percolate(tree: RstTree) -> DependencyGraph:
-    # each child headed by another EDU than its parent attaches its head
-    # to the parent's head; the root's head takes the root arc
+def hirao_convert(tree: RstTree) -> DependencyGraph:
+    """Head percolation on the tree as annotated.
+
+    Each child headed by another EDU than its parent attaches its head to
+    the parent's head; the root's head takes the root arc.
+    """
     arcs: list[DependencyArc] = []
 
     def attach(node: RstInternal, child_heads: list[int]) -> int:
@@ -98,11 +101,6 @@ def _percolate(tree: RstTree) -> DependencyGraph:
         arcs=tuple(arcs),
         flavor=GraphFlavor.ROOTED_TREE,
     )
-
-
-def hirao_convert(tree: RstTree) -> DependencyGraph:
-    """Head percolation on the tree as annotated."""
-    return _percolate(tree)
 
 
 def _binarize_node(node: RstInternal, binarized: list[RstLeaf | RstInternal]) -> RstInternal:
@@ -129,7 +127,7 @@ def binarize(tree: RstTree) -> RstTree:
 
 def li_convert(tree: RstTree) -> DependencyGraph:
     """Binarize first, then percolate; identical to hirao on binary trees."""
-    return _percolate(binarize(tree))
+    return hirao_convert(binarize(tree))
 
 
 def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> DependencyGraph:

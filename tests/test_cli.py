@@ -12,6 +12,9 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+NON_STRING_LEVEL1 = '{"arcs": [{"dependent": 1, "head": 2, "sense": {"level1": 5}}]}'
+
+
 @pytest.fixture
 def pdtb_corpus(tmp_path, fixtures_dir):
     corpus = tmp_path / "pdtb"
@@ -252,6 +255,16 @@ class TestMetricsCommand:
         assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
         assert f"error: {dep / 'bad.json'}: FormatError: arc 0: " in capsys.readouterr().err
 
+    def test_non_string_sense_level_is_format_error(self, tmp_path, fixtures_dir, capsys):
+        dep = tmp_path / "dep"
+        run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", dep)
+        (dep / "bad.json").write_text(NON_STRING_LEVEL1)
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 1
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+        err = capsys.readouterr().err
+        assert f"error: {dep / 'bad.json'}: FormatError: arc 0: sense level1 must be a string" in err
+
     def test_empty_dep_file_gives_empty_cells(self, tmp_path):
         dep = tmp_path / "empty.conll"
         dep.write_text("# doc_id = empty\n# flavor = LocalForest\n")
@@ -316,6 +329,25 @@ class TestValidateCommand:
         bad.write_text(text)
         assert run("validate", "--input", bad) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (NON_STRING_LEVEL1, "arc 0: sense level1 must be a string, got 5"),
+            (
+                '{"arcs": [{"dependent": 1, "head": 2, "sense": {"level1": "x", "level2": 7}}]}',
+                "arc 0: sense level2 must be a string, got 7",
+            ),
+            ("[" * 100_000 + "]" * 100_000, "json nested too deeply"),
+        ],
+        ids=["int-level1", "int-level2", "deep-nesting"],
+    )
+    def test_json_reader_faults_are_usage_errors(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("validate", "--input", bad) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSplit:

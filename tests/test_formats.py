@@ -140,6 +140,25 @@ class TestReadDep:
             read_dep(text, "json")
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "sense, message",
+        [
+            ('{"level1": 5}', "arc 0: sense level1 must be a string, got 5"),
+            ('{"level1": null}', "arc 0: sense level1 must be a string, got None"),
+            ('{"level1": "x", "level2": 3}', "arc 0: sense level2 must be a string, got 3"),
+            ('{"level1": "x", "level3": ["y"]}', "arc 0: sense level3 must be a string, got ['y']"),
+        ],
+    )
+    def test_json_non_string_sense_level_is_format_error(self, sense, message):
+        text = '{"arcs": [{"dependent": 1, "head": 2, "sense": ' + sense + "}]}"
+        with pytest.raises(FormatError) as info:
+            read_dep(text, "json")
+        assert str(info.value) == message
+
+    def test_json_deep_nesting_is_format_error(self):
+        with pytest.raises(FormatError, match="json nested too deeply"):
+            read_dep("[" * 100_000 + "]" * 100_000, "json")
+
     def test_conll_distance_mismatch_rejected(self):
         text = "# flavor = LocalForest\n1\t2\tx\t_\t_\t5\n2\t_\t_\t_\t_\t_\n"
         with pytest.raises(FormatError, match="disagrees"):
