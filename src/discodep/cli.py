@@ -13,7 +13,6 @@ import logging
 import os
 import random
 import sys
-from collections.abc import Container
 from pathlib import Path
 
 from . import __version__
@@ -36,9 +35,6 @@ from .rst2dep import apply_label_map, hirao_convert, li_convert, load_label_map
 
 log = logging.getLogger("discodep")
 
-_EXT = {"conll": ".conll", "csv": ".csv", "json": ".json"}
-_EXT_TO_FORMAT = {v: k for k, v in _EXT.items()}
-
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
@@ -49,11 +45,11 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
 
 
-def _collect(path: Path, suffixes: Container[str]) -> list[Path]:
+def _collect(path: Path, extensions: tuple[str, ...]) -> list[Path]:
     if path.is_file():
         return [path]
     if path.is_dir():
-        return sorted(p for p in path.iterdir() if p.suffix in suffixes and p.is_file())
+        return sorted(p for p in path.iterdir() if p.suffix[1:] in extensions and p.is_file())
     raise FileNotFoundError(f"input path does not exist: {path}")
 
 
@@ -99,7 +95,7 @@ def _convert_all(args, one, files: list[Path]) -> int:
         payload, diags = result
         diagnostics.extend(diags)
         if payload is not None:
-            (out_dir / (path.stem + _EXT[args.format])).write_bytes(payload)
+            (out_dir / f"{path.stem}.{args.format}").write_bytes(payload)
     _write_report(out_dir, diagnostics)
     for diag in diagnostics:
         log.info("%s", diag)
@@ -112,7 +108,7 @@ def cmd_convert_pdtb(args) -> int:
     columns = ColumnMap.from_string(args.columns) if args.columns else DEFAULT_COLUMNS
     head_rules = load_head_rules(args.head_rules) if args.head_rules else DEFAULT_HEAD_RULES
     documents = read_segmentation(args.edus)
-    files = _collect(Path(args.input), (".pdtb",))
+    files = _collect(Path(args.input), ("pdtb",))
 
     def one(path: Path):
         doc_id = path.stem
@@ -139,7 +135,7 @@ def cmd_convert_pdtb(args) -> int:
 def cmd_convert_rst(args) -> int:
     label_map = load_label_map(args.label_map) if args.label_map else None
     convert = hirao_convert if args.algo == "hirao" else li_convert
-    files = _collect(Path(args.input), (".dis",))
+    files = _collect(Path(args.input), ("dis",))
 
     def one(path: Path):
         doc_id = path.stem
@@ -158,8 +154,8 @@ def cmd_convert_rst(args) -> int:
 
 
 def _read_dep_file(path: Path):
-    fmt = _EXT_TO_FORMAT.get(path.suffix)
-    if fmt is None:
+    fmt = path.suffix[1:]
+    if fmt not in FORMATS:
         raise FormatError(f"cannot infer format from extension of {path.name}")
     graph = read_dep(path.read_bytes(), fmt)
     if not graph.doc_id:
@@ -170,7 +166,7 @@ def _read_dep_file(path: Path):
 def cmd_metrics(args) -> int:
     """Metrics of every readable file; each unreadable one is an ``error:``
     line on stderr and makes the run exit 1."""
-    paths = _collect(Path(args.input), _EXT_TO_FORMAT)
+    paths = _collect(Path(args.input), FORMATS)
 
     def one(path: Path):
         graph = _read_dep_file(path)
@@ -230,10 +226,10 @@ def cmd_split(args) -> int:
         return EXIT_USAGE
     ids = sorted({p.stem for p in in_path.iterdir() if p.is_file()})
     total = args.train + args.dev + args.test
-    if total != len(ids):
+    if min(args.train, args.dev, args.test) < 0 or total != len(ids):
         print(
             f"error: split sizes {args.train}+{args.dev}+{args.test}={total} "
-            f"do not sum to corpus size {len(ids)}",
+            f"must be non-negative and sum to corpus size {len(ids)}",
             file=sys.stderr,
         )
         return EXIT_USAGE

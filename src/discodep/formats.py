@@ -3,7 +3,8 @@ two-column TSV reader shared by the head-rule and label-map files.
 
 All writers emit UTF-8 bytes with "\n" line endings, a trailing newline,
 and 6-decimal fixed-point reals, so identical inputs always produce
-identical bytes.
+identical bytes. ``_CODECS``, at the end, is the one list of dependency
+formats; a dependency file's extension is its format name.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 from .metrics import CorrelationResult, MetricsRecord
@@ -23,8 +25,6 @@ from .model import (
     SenseTag,
 )
 
-FORMATS = ("conll", "csv", "json")
-
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
 
 
@@ -36,25 +36,20 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _codec(fmt: str):
+    try:
+        return _CODECS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
+
+
 def write_dep(graph: DependencyGraph, fmt: str) -> bytes:
-    if fmt == "conll":
-        return _write_conll(graph)
-    if fmt == "csv":
-        return _write_csv(graph)
-    if fmt == "json":
-        return _write_json(graph)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _codec(fmt)[0](graph)
 
 
 def read_dep(data: bytes | str, fmt: str) -> DependencyGraph:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    if fmt == "conll":
-        return _read_conll(text)
-    if fmt == "csv":
-        return _read_csv(text)
-    if fmt == "json":
-        return _read_json(text)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _codec(fmt)[1](text)
 
 
 def _sense_fields(sense: SenseTag) -> tuple[str, str, str]:
@@ -124,13 +119,9 @@ def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
 
 def _graph(meta: dict, unit_count: int, arcs: list[DependencyArc]) -> DependencyGraph:
     """Assemble a read graph; without a flavor comment, a root arc means a rooted tree."""
-    flavor = meta.get("flavor")
-    if flavor is None:
-        flavor = (
-            GraphFlavor.ROOTED_TREE
-            if any(a.head == ROOT for a in arcs)
-            else GraphFlavor.LOCAL_FOREST
-        )
+    flavor = meta.get("flavor") or (
+        GraphFlavor.ROOTED_TREE if any(a.head == ROOT for a in arcs) else GraphFlavor.LOCAL_FOREST
+    )
     return DependencyGraph(meta.get("doc_id", ""), unit_count, tuple(arcs), flavor)
 
 
@@ -181,44 +172,62 @@ def _read_conll(text: str) -> DependencyGraph:
     return _graph(meta, unit_count, arcs)
 
 
-def _write_csv(graph: DependencyGraph) -> bytes:
+def _csv_bytes(header: tuple[str, ...], rows, preamble: str = "") -> bytes:
+    """``preamble``, then ``header`` and ``rows`` as csv lines ending in "\\n"."""
     buf = io.StringIO()
-    buf.write(f"# doc_id = {graph.doc_id}\n")
-    buf.write(f"# unit_count = {graph.unit_count}\n")
-    buf.write(f"# flavor = {graph.flavor.value}\n")
+    buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for arc in graph.arcs:
-        l1, l2, l3 = _sense_fields(arc.sense)
-        distance = "" if arc.distance is None else str(arc.distance)
-        writer.writerow((arc.dependent, arc.head, distance, l1, l2, l3))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
-def _read_csv(text: str) -> DependencyGraph:
-    meta, rows = _split_comments(text)
-    if not rows:
+def _csv_rows(lines: list[tuple[int, str]], header: tuple[str, ...]):
+    """``(line_no, fields)`` of each csv row under ``header`` in ``(line_no, line)`` pairs.
+
+    The header, every row's column count and the csv syntax are checked;
+    a fault raises FormatError naming its line. A row is one line.
+    """
+    if not lines:
         raise FormatError("csv input has no header row")
-    header_no, header_line = rows[0]
-    header = next(csv.reader([header_line]))
-    if tuple(h.strip() for h in header) != _CSV_HEADER:
-        raise FormatError(f"line {header_no}: unexpected header {header!r}")
+    reader = csv.reader(line for _, line in lines)
+    try:
+        for row_no, fields in enumerate(reader, 1):
+            line_no = lines[reader.line_num - 1][0]
+            if reader.line_num != row_no:
+                raise FormatError(f"line {line_no}: quoted field spans lines")
+            if row_no == 1:
+                if tuple(h.strip() for h in fields) != header:
+                    raise FormatError(f"line {line_no}: unexpected header {fields!r}")
+            elif len(fields) != len(header):
+                raise FormatError(f"line {line_no}: expected {len(header)} columns, got {len(fields)}")
+            else:
+                yield line_no, fields
+    except csv.Error as err:
+        raise FormatError(f"line {lines[reader.line_num - 1][0]}: {err}") from None
+
+
+def _write_csv(graph: DependencyGraph) -> bytes:
+    preamble = (
+        f"# doc_id = {graph.doc_id}\n"
+        f"# unit_count = {graph.unit_count}\n"
+        f"# flavor = {graph.flavor.value}\n"
+    )
+    rows = (
+        (arc.dependent, arc.head, "" if arc.distance is None else arc.distance, *_sense_fields(arc.sense))
+        for arc in graph.arcs
+    )
+    return _csv_bytes(_CSV_HEADER, rows, preamble)
+
+
+def _read_csv(text: str) -> DependencyGraph:
+    meta, body = _split_comments(text)
     arcs = []
     max_unit = 0
-    for line_no, line in rows[1:]:
-        fields = next(csv.reader([line]))
-        if len(fields) != len(_CSV_HEADER):
-            raise FormatError(
-                f"line {line_no}: expected {len(_CSV_HEADER)} columns, got {len(fields)}"
-            )
+    for line_no, fields in _csv_rows(body, _CSV_HEADER):
         try:
-            dependent = int(fields[0])
-            head = int(fields[1])
-        except ValueError as err:
-            raise FormatError(f"line {line_no}: {err}") from None
-        sense = _sense_from_fields(fields[3], fields[4], fields[5])
-        try:
-            arc = DependencyArc.make(dependent, head, sense)
+            dependent, head = int(fields[0]), int(fields[1])
+            arc = DependencyArc.make(dependent, head, _sense_from_fields(*fields[3:]))
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
         if fields[2] != "":
@@ -281,60 +290,49 @@ def _read_json(text: str) -> DependencyGraph:
         if declared is not None and declared != arc.distance:
             raise FormatError(f"arc {i}: distance {declared} disagrees with computed {arc.distance}")
         arcs.append(arc)
-    return DependencyGraph(
-        meta.get("doc_id", ""),
-        meta.get("unit_count", 0),
-        tuple(arcs),
-        meta.get("flavor", GraphFlavor.LOCAL_FOREST),
-    )
+    return _graph(meta, meta.get("unit_count", 0), arcs)
 
 
 METRICS_HEADER = ("doc_id", "n_units", "n_arcs", "mdd", "sd")
 
 
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise FormatError(f"{name} {value} is not finite")
+    return value
+
+
+def _metric_cell(rec: MetricsRecord, name: str) -> str:
+    value = getattr(rec, name)
+    return "" if value is None else _fmt(_finite(value, f"{rec.doc_id}: {name}"))
+
+
+def _metric(cell: str, name: str) -> float | None:
+    return _finite(float(cell), name) if cell else None
+
+
 def write_metrics(records: list[MetricsRecord]) -> bytes:
-    """Metrics CSV sorted by doc_id; undefined values become empty cells."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    for rec in sorted(records, key=lambda r: r.doc_id):
-        writer.writerow(
-            (
-                rec.doc_id,
-                rec.unit_count,
-                rec.arc_count,
-                "" if rec.mdd is None else _fmt(rec.mdd),
-                "" if rec.sd is None else _fmt(rec.sd),
-            )
-        )
-    return buf.getvalue().encode("utf-8")
+    """Metrics CSV sorted by doc_id; undefined values become empty cells,
+    and a non-finite value raises FormatError."""
+    rows = (
+        (rec.doc_id, rec.unit_count, rec.arc_count, _metric_cell(rec, "mdd"), _metric_cell(rec, "sd"))
+        for rec in sorted(records, key=lambda r: r.doc_id)
+    )
+    return _csv_bytes(METRICS_HEADER, rows)
 
 
 def read_metrics(data: bytes | str) -> list[MetricsRecord]:
+    """Records of a metrics csv. No line is a comment: a doc_id may start with ``#``."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines:
-        raise FormatError("metrics csv is empty")
-    header = tuple(h.strip() for h in next(csv.reader([lines[0]])))
-    if header != METRICS_HEADER:
-        raise FormatError(f"unexpected metrics header {header!r}")
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = next(csv.reader([line]))
-        if len(fields) != len(METRICS_HEADER):
-            raise FormatError(f"line {line_no}: expected {len(METRICS_HEADER)} columns")
+    for line_no, (doc_id, units, arcs, mdd, sd) in _csv_rows(lines, METRICS_HEADER):
+        at = f"line {line_no}: "
         try:
-            records.append(
-                MetricsRecord(
-                    doc_id=fields[0],
-                    unit_count=int(fields[1]),
-                    arc_count=int(fields[2]),
-                    mdd=float(fields[3]) if fields[3] else None,
-                    sd=float(fields[4]) if fields[4] else None,
-                )
-            )
+            mdd, sd = _metric(mdd, at + "mdd"), _metric(sd, at + "sd")
+            records.append(MetricsRecord(doc_id, int(units), int(arcs), mdd, sd))
         except ValueError as err:
-            raise FormatError(f"line {line_no}: {err}") from None
+            raise FormatError(at + str(err)) from None
     return records
 
 
@@ -356,8 +354,13 @@ def read_two_columns(path: str | Path, name: str) -> list[tuple[int, str, str]]:
 
 
 def write_correlation(result: CorrelationResult) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("pairs", "r", "t", "df"))
-    writer.writerow((result.n_pairs, _fmt(result.r), _fmt(result.t), result.df))
-    return buf.getvalue().encode("utf-8")
+    row = (result.n_pairs, _fmt(result.r), _fmt(result.t), result.df)
+    return _csv_bytes(("pairs", "r", "t", "df"), [row])
+
+
+_CODECS = {
+    "conll": (_write_conll, _read_conll),
+    "csv": (_write_csv, _read_csv),
+    "json": (_write_json, _read_json),
+}
+FORMATS = tuple(_CODECS)

@@ -121,22 +121,27 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
     """Pearson's r over paired series, with t statistic and df = n - 2.
 
     Uses sample moments: r = cov(x, y) / (sx * sy). Requires at least 3
-    pairs and non-constant series.
+    pairs, non-constant series, and moments that are finite floats.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"series lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)
     if n < 3:
         raise LengthMismatch(f"need at least 3 pairs, got {n}")
-    mx = statistics.fmean(xs)
-    my = statistics.fmean(ys)
-    # fsum keeps the moments exact, so r is invariant under permutations
-    sx = math.sqrt(math.fsum((x - mx) ** 2 for x in xs) / (n - 1))
-    sy = math.sqrt(math.fsum((y - my) ** 2 for y in ys) / (n - 1))
+    try:
+        mx = statistics.fmean(xs)
+        my = statistics.fmean(ys)
+        # fsum keeps the moments exact, so r is invariant under permutations
+        sx = math.sqrt(math.fsum((x - mx) ** 2 for x in xs) / (n - 1))
+        sy = math.sqrt(math.fsum((y - my) ** 2 for y in ys) / (n - 1))
+        cov = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / (n - 1)
+    except (OverflowError, ValueError):  # a float overflowed, or fsum met inf - inf
+        sx = sy = cov = math.nan
+    if not all(map(math.isfinite, (sx, sy, cov))):
+        raise CorrelationError("a moment is not a finite float; r is undefined")
     if sx == 0 or sy == 0:
         which = "left" if sx == 0 else "right"
         raise ConstantSeries(f"{which} series is constant; r is undefined")
-    cov = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / (n - 1)
     r = cov / (sx * sy)
     r = max(-1.0, min(1.0, r))
     df = n - 2

@@ -407,3 +407,77 @@ class TestWorkerDeterminism:
                 (out / "diagnostics.txt").read_bytes(),
             )
         assert outputs[1] == outputs[2] == outputs[8]
+
+
+BIG_FIELD = "x" * 200_000
+METRICS_HEADER = "doc_id,n_units,n_arcs,mdd,sd\n"
+
+
+class TestCsvFaults:
+    def test_validate_oversized_field_is_usage_error(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text(f"dependent,head,distance,sense1,class,type\n1,2,1,{BIG_FIELD},,\n")
+        assert run("validate", "--input", big) == 2
+        assert capsys.readouterr().err == "error: line 2: field larger than field limit (131072)\n"
+
+    def test_metrics_reports_oversized_field_as_format_error(self, tmp_path, fixtures_dir, capsys):
+        dep = tmp_path / "dep"
+        run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", dep)
+        (dep / "big.csv").write_text(f"dependent,head,distance,sense1,class,type\n1,2,1,{BIG_FIELD},,\n")
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 1
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+        err = capsys.readouterr().err
+        assert f"error: {dep / 'big.csv'}: FormatError: line 2: field larger than field limit" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (f"{BIG_FIELD},5,4,1.0,0.5\n", "line 2: field larger than field limit (131072)"),
+            ("a,5,4,1.0,0.5\nb,5,4,nan,0.5\nc,5,4,3.0,0.5\n", "line 3: mdd nan is not finite"),
+            ("a,5,4,1e200,0.5\nb,5,4,-1e200,0.5\nc,5,4,3.0,0.5\n", ""),
+        ],
+        ids=["oversized-field", "nan", "overflow"],
+    )
+    def test_correlate_bad_metrics_is_usage_error(self, tmp_path, capsys, body, message):
+        left = tmp_path / "l.csv"
+        left.write_text(METRICS_HEADER + body)
+        right = tmp_path / "r.csv"
+        right.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.0,0.5\nc,5,4,3.0,0.5\n")
+        out = tmp_path / "c.csv"
+        assert run("correlate", "--left", left, "--right", right, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestFormatExtensions:
+    @pytest.mark.parametrize("fmt", ["conll", "csv", "json"])
+    def test_output_extension_is_format_name_and_reads_back(self, tmp_path, fixtures_dir, fmt):
+        dep = tmp_path / "dep"
+        assert run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", dep, "--format", fmt) == 0
+        assert sorted(p.name for p in dep.iterdir()) == ["diagnostics.txt", f"fig1.{fmt}"]
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 0
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+
+    def test_unknown_extension_is_usage_error(self, tmp_path, capsys):
+        dep = tmp_path / "fig1.txt"
+        dep.write_text("")
+        assert run("validate", "--input", dep) == 2
+        assert capsys.readouterr().err == "error: cannot infer format from extension of fig1.txt\n"
+
+
+@pytest.mark.parametrize("sizes", [(-1, 2, 2), (2, -1, 2), (2, 2, -1)])
+def test_split_rejects_negative_sizes(tmp_path, capsys, sizes):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b", "c"):
+        (corpus / f"{name}.pdtb").write_text("")
+    train, dev, test = sizes
+    out = tmp_path / "s"
+    assert run(
+        "split", "--input", corpus, "--train", train, "--dev", dev, "--test", test, "--out", out,
+    ) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

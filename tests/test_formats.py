@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -262,3 +264,103 @@ def test_write_correlation_layout():
     fields = lines[1].split(",")
     assert fields[0] == "4" and fields[3] == "2"
     assert float(fields[1]) == pytest.approx(result.r, abs=1e-6)
+
+
+class TestGoldenBytes:
+    """Every writer's exact output, recorded before the writers shared one
+    csv writer: any change to these bytes breaks the byte contract."""
+
+    WSJ_SHA256 = {
+        "conll": "d55360950b0ca4c4444380ef3db432d1d283cd9b1e6d4a7f958d602881d6dba2",
+        "csv": "27308bce7d6b3688ed54073dfcf8c0da4ac37bc8213835b927aca4e657bdf36b",
+        "json": "29846f6c55024167bef4877e73ffc440763293d07959366f533fcfd9a5e9079b",
+    }
+
+    def test_write_dep_sha256(self, wsj_graph):
+        for fmt in FORMATS:
+            assert hashlib.sha256(write_dep(wsj_graph, fmt)).hexdigest() == self.WSJ_SHA256[fmt]
+
+    def test_write_dep_csv_whole_file(self, wsj_graph):
+        assert write_dep(wsj_graph, "csv") == (
+            b"# doc_id = wsj_0618\n"
+            b"# unit_count = 17\n"
+            b"# flavor = LocalForest\n"
+            b"dependent,head,distance,sense1,class,type\n"
+            b"2,1,1,Contingency,Condition,Arg2-as-cond\n"
+            b"3,4,1,Temporal,Asynchronous,Succession\n"
+            b"5,6,1,Expansion,Disjunction,\n"
+            b"6,7,1,Contingency,Cause,Reason\n"
+            b"9,8,1,Comparison,Concession,Arg2-as-denier\n"
+            b"10,9,1,Contingency,Condition,Arg2-as-cond\n"
+            b"11,12,1,EntRel,,\n"
+            b"13,14,1,Contingency,Cause,Reason\n"
+            b"15,17,2,Contingency,Cause,Result\n"
+            b"16,17,1,Contingency,Purpose,Arg2-as-goal\n"
+            b"17,14,3,Expansion,Exception,Arg2-as-excpt\n"
+        )
+
+    def test_write_metrics(self):
+        recs = [MetricsRecord("b", 2, 0, None, None), MetricsRecord('a, "x"', 5, 4, 1.25, 0.5)]
+        assert write_metrics(recs) == (
+            b'doc_id,n_units,n_arcs,mdd,sd\n"a, ""x""",5,4,1.250000,0.500000\nb,2,0,,\n'
+        )
+
+    def test_write_correlation(self):
+        result = pearson([1.0, 2.0, 3.0, 5.0], [1.1, 1.9, 3.2, 4.9])
+        assert write_correlation(result) == b"pairs,r,t,df\n4,0.996434,16.701331,2\n"
+
+
+def _without_flavor(text: str, fmt: str) -> str:
+    if fmt == "json":
+        return text.replace('  "flavor": "RootedTree",\n', "")
+    return text.replace("# flavor = RootedTree\n", "")
+
+
+def test_rooted_graph_without_flavor_reads_the_same_in_every_format():
+    graphs = []
+    for fmt in FORMATS:
+        text = _without_flavor(write_dep(rooted_two_edu(), fmt).decode(), fmt)
+        assert "flavor" not in text
+        graphs.append(read_dep(text, fmt))
+    assert graphs[0] == graphs[1] == graphs[2]
+    assert graphs[0].flavor is GraphFlavor.ROOTED_TREE
+
+
+class TestCsvReaderFaults:
+    BIG = "x" * 200_000
+
+    def test_oversized_dep_field_is_format_error(self):
+        text = f"dependent,head,distance,sense1,class,type\n1,2,1,{self.BIG},,\n"
+        with pytest.raises(FormatError) as info:
+            read_dep(text, "csv")
+        assert str(info.value) == "line 2: field larger than field limit (131072)"
+
+    def test_oversized_metrics_field_is_format_error(self):
+        text = f"doc_id,n_units,n_arcs,mdd,sd\n{self.BIG},1,0,,\n"
+        with pytest.raises(FormatError) as info:
+            read_metrics(text)
+        assert str(info.value) == "line 2: field larger than field limit (131072)"
+
+    def test_metrics_line_numbers_count_blank_lines(self):
+        with pytest.raises(FormatError, match="^line 3: "):
+            read_metrics("doc_id,n_units,n_arcs,mdd,sd\n\na,1,x,,\n")
+
+    def test_metrics_doc_id_may_start_with_hash(self):
+        recs = [MetricsRecord("#1", 2, 1, 1.0, None), MetricsRecord("a", 2, 1, 1.0, None)]
+        assert read_metrics(write_metrics(recs)) == recs
+
+    def test_quoted_field_across_lines_is_format_error(self):
+        with pytest.raises(FormatError, match="^line 3: "):
+            read_metrics('doc_id,n_units,n_arcs,mdd,sd\n"a\nb",1,0,,\n')
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["mdd", "sd"])
+    def test_non_finite_metric_is_format_error(self, cell, column):
+        row = f"a,3,2,{cell},1.0" if column == "mdd" else f"a,3,2,1.0,{cell}"
+        with pytest.raises(FormatError, match=f"^line 2: {column} {cell} is not finite$"):
+            read_metrics(f"doc_id,n_units,n_arcs,mdd,sd\n{row}\n")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_metrics_refuses_non_finite(self, value):
+        with pytest.raises(FormatError, match="^a: mdd (nan|inf) is not finite$"):
+            write_metrics([MetricsRecord("a", 3, 2, value, None)])

@@ -256,3 +256,10 @@ class TestPearson:
         base = pearson(xs, ys)
         permuted = pearson([xs[i] for i in order], [ys[i] for i in order])
         assert abs(base.r - permuted.r) < 1e-12
+
+
+def test_pearson_overflowing_moment_is_correlation_error():
+    from discodep.metrics import CorrelationError
+
+    with pytest.raises(CorrelationError):
+        pearson([1e200, -1e200, 3.0], [1.0, 2.0, 3.0])
