@@ -6,6 +6,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 from pathlib import Path
 
+from .formats import _tab_rows
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
@@ -110,20 +111,11 @@ def parse_segmentation(text: str) -> dict[str, Document]:
     spans ordered and non-overlapping (enforced by Document).
     """
     per_doc: dict[str, list[tuple[int, Span]]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise SegmentationError(
-                f"line {line_no}: expected 4 tab-separated fields, got {len(parts)}"
-            )
-        doc_id, index_s, start_s, end_s = (p.strip() for p in parts)
+    for line_no, doc_id, index, start, end in _tab_rows(text, 4, SegmentationError):
         try:
-            index, span = int(index_s), Span(int(start_s), int(end_s))
+            per_doc.setdefault(doc_id, []).append((int(index), Span(int(start), int(end))))
         except ValueError as err:
             raise SegmentationError(f"line {line_no}: {err}") from None
-        per_doc.setdefault(doc_id, []).append((index, span))
     documents = {}
     for doc_id, edus in per_doc.items():
         try:

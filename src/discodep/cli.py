@@ -105,6 +105,8 @@ def _convert_all(args, one, files: list[Path]) -> int:
 
 
 def cmd_convert_pdtb(args) -> int:
+    if not 0 < args.theta <= 1:
+        raise ValueError(f"--theta must be in (0, 1], got {args.theta}")
     columns = ColumnMap.from_string(args.columns) if args.columns else DEFAULT_COLUMNS
     head_rules = load_head_rules(args.head_rules) if args.head_rules else DEFAULT_HEAD_RULES
     documents = read_segmentation(args.edus)

@@ -1,5 +1,5 @@
-"""Bit-exact serialization of dependency graphs and metrics, plus the
-two-column TSV reader shared by the head-rule and label-map files.
+"""Bit-exact serialization of dependency graphs and metrics, and the one
+line splitter, tab-row reader and arc-row check that every reader shares.
 
 All writers emit UTF-8 bytes with "\n" line endings, a trailing newline,
 and 6-decimal fixed-point reals, so identical inputs always produce
@@ -13,6 +13,9 @@ import csv
 import io
 import json
 import math
+import sys
+from collections.abc import Iterator
+from operator import attrgetter
 from pathlib import Path
 
 from .metrics import CorrelationResult, MetricsRecord
@@ -26,6 +29,12 @@ from .model import (
 )
 
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
+_EMPTY = ("", "_")  # conll cells of an absent sense level
+_LEVEL_TYPES = (str, (str, type(None)), (str, type(None)))  # of sense level1, level2, level3
+_LINE_BREAKS = frozenset("\r\n")
+# a csv cell holding one of these is not read back as written: it ends the
+# row, and csv.reader before Python 3.11 refuses a NUL
+_CSV_BREAKS = _LINE_BREAKS if sys.version_info >= (3, 11) else _LINE_BREAKS | {"\0"}
 
 
 class FormatError(DiscodepError):
@@ -56,11 +65,24 @@ def _sense_fields(sense: SenseTag) -> tuple[str, str, str]:
     return (sense.level1, sense.level2 or "", sense.level3 or "")
 
 
-def _sense_from_fields(level1: str, level2: str, level3: str) -> SenseTag:
-    return SenseTag(level1, level2 or None, level3 or None)
+def _check_writable(graph: DependencyGraph, fmt: str, breaks: frozenset[str], absent: tuple[str, ...]) -> None:
+    """Refuse a graph that the ``fmt`` reader would read back differently.
+
+    That is a doc_id comment with a line break or outer whitespace, a sense
+    level holding one of ``breaks``, or a level2/level3 whose cell reads as
+    one of the ``absent`` ones.
+    """
+    doc_id = graph.doc_id
+    if doc_id != doc_id.strip() or not _LINE_BREAKS.isdisjoint(doc_id):
+        raise FormatError(f"{fmt} cannot represent doc_id {doc_id!r}")
+    for levels in {(s.level1, s.level2, s.level3) for s in map(attrgetter("sense"), graph.arcs)}:
+        for key, level in zip(("level1", "level2", "level3"), levels):
+            if level is not None and (not breaks.isdisjoint(level) or key != "level1" and level in absent):
+                raise FormatError(f"{fmt} cannot represent sense {key} {level!r}")
 
 
 def _write_conll(graph: DependencyGraph) -> bytes:
+    _check_writable(graph, "conll", _LINE_BREAKS | {"\t"}, _EMPTY)
     by_unit: dict[int, DependencyArc] = {}
     for arc in graph.arcs:
         if arc.dependent in by_unit:
@@ -98,6 +120,25 @@ def _header_field(key: str, value, where: str):
         raise FormatError(f"{where}{bad} {key} {value!r}") from None
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` of each non-blank line; only "\\r\\n", "\\r" and
+    "\\n" end a line, as in a file opened in text mode."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return ((line_no, line) for line_no, line in enumerate(lines, 1) if line.strip())
+
+
+def _tab_rows(text: str, width: int, error: type[Exception], where: str = "line"):
+    """``(line_no, *fields)`` of each row, fields stripped and ``#`` comments
+    skipped; a row without ``width`` fields raises ``error("<where> N: ...")``."""
+    for line_no, line in _lines(text):
+        if line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise error(f"{where} {line_no}: expected {width} tab-separated fields, got {len(fields)}")
+        yield line_no, *map(str.strip, fields)
+
+
 def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
     """Split ``# key = value`` comments from the other non-blank lines.
 
@@ -105,10 +146,9 @@ def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
     """
     meta: dict = {}
     body: list[tuple[int, str]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _lines(text):
         if not line.startswith("#"):
-            if line.strip():
-                body.append((line_no, line))
+            body.append((line_no, line))
             continue
         key, sep, value = line[1:].partition("=")
         key, value = key.strip(), value.strip()
@@ -117,59 +157,67 @@ def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
     return meta, body
 
 
-def _graph(meta: dict, unit_count: int, arcs: list[DependencyArc]) -> DependencyGraph:
-    """Assemble a read graph; without a flavor comment, a root arc means a rooted tree."""
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a bool or float is not."""
+    if type(value) is not int:
+        raise ValueError(value)
+    return value
+
+
+def _number(value, to_int, name: str) -> int:
+    try:
+        return to_int(value)
+    except (OverflowError, TypeError, ValueError):
+        raise ValueError(f"bad {name} {value!r}") from None
+
+
+def _graph(meta: dict, rows, unit_count: int | None, where: str = "line", to_int=int) -> DependencyGraph:
+    """The graph of ``(position, dependent, head, distance, levels)`` rows, ids
+    read with ``to_int``; a None distance or level2/level3 is absent, and a
+    None ``unit_count`` is the largest unit named. A bad row raises FormatError
+    ``<where> <position>: ...``; without a flavor, a root arc makes a rooted tree."""
+    arcs = []
+    for position, dependent, head, distance, levels in rows:
+        try:
+            if not all(map(isinstance, levels, _LEVEL_TYPES)):
+                i = list(map(isinstance, levels, _LEVEL_TYPES)).index(False)
+                raise ValueError(f"sense level{i + 1} must be a string, got {levels[i]!r}")
+            dependent, head = _number(dependent, to_int, "dependent id"), _number(head, to_int, "head id")
+            arc = DependencyArc.make(dependent, head, SenseTag(*levels))
+            if distance is not None and _number(distance, to_int, "distance") != arc.distance:
+                raise ValueError(f"distance {to_int(distance)} disagrees with |{dependent} - {head}|")
+        except ValueError as err:
+            raise FormatError(f"{where} {position}: {err}") from None
+        arcs.append(arc)
+    if unit_count is None:
+        unit_count = max([0] + [max(a.dependent, a.head) for a in arcs])
     flavor = meta.get("flavor") or (
         GraphFlavor.ROOTED_TREE if any(a.head == ROOT for a in arcs) else GraphFlavor.LOCAL_FOREST
     )
     return DependencyGraph(meta.get("doc_id", ""), unit_count, tuple(arcs), flavor)
 
 
-def _check_distance(field: str, arc: DependencyArc, line_no: int) -> None:
-    """A declared distance column must be an integer equal to the arc's distance."""
-    try:
-        distance = int(field)
-    except ValueError:
-        raise FormatError(f"line {line_no}: bad distance {field!r}") from None
-    if arc.distance != distance:
-        raise FormatError(
-            f"line {line_no}: distance column {field} disagrees with "
-            f"|{arc.dependent} - {arc.head}|"
-        )
+def _conll_rows(body: list[tuple[int, str]]):
+    """The arc rows of conll lines, whose unit ids must run 1..n in order."""
+    for expected, (line_no, line) in enumerate(body, 1):
+        fields = line.split("\t")
+        if len(fields) != 6:
+            raise FormatError(f"line {line_no}: expected 6 tab-separated fields, got {len(fields)}")
+        unit_id, head, level1, level2, level3, distance = fields
+        try:
+            unit = int(unit_id)
+        except ValueError:
+            raise FormatError(f"line {line_no}: bad unit id {unit_id!r}") from None
+        if unit != expected:
+            raise FormatError(f"line {line_no}: unit ids must be 1..n in order, got {unit}")
+        if head != "_":
+            levels = (level1, None if level2 in _EMPTY else level2, None if level3 in _EMPTY else level3)
+            yield line_no, unit, head, None if distance == "_" else distance, levels
 
 
 def _read_conll(text: str) -> DependencyGraph:
     meta, body = _split_comments(text)
-    arcs = []
-    unit_count = 0
-    for line_no, line in body:
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise FormatError(f"line {line_no}: expected 6 tab-separated fields, got {len(fields)}")
-        try:
-            unit = int(fields[0])
-        except ValueError:
-            raise FormatError(f"line {line_no}: bad unit id {fields[0]!r}") from None
-        if unit != unit_count + 1:
-            raise FormatError(f"line {line_no}: unit ids must be 1..n in order, got {unit}")
-        unit_count = unit
-        if fields[1] == "_":
-            continue
-        try:
-            head = int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {line_no}: bad head id {fields[1]!r}") from None
-        sense = _sense_from_fields(
-            fields[2], "" if fields[3] == "_" else fields[3], "" if fields[4] == "_" else fields[4]
-        )
-        try:
-            arc = DependencyArc.make(unit, head, sense)
-        except ValueError as err:
-            raise FormatError(f"line {line_no}: {err}") from None
-        if fields[5] != "_":
-            _check_distance(fields[5], arc, line_no)
-        arcs.append(arc)
-    return _graph(meta, unit_count, arcs)
+    return _graph(meta, _conll_rows(body), len(body))
 
 
 def _csv_bytes(header: tuple[str, ...], rows, preamble: str = "") -> bytes:
@@ -208,6 +256,7 @@ def _csv_rows(lines: list[tuple[int, str]], header: tuple[str, ...]):
 
 
 def _write_csv(graph: DependencyGraph) -> bytes:
+    _check_writable(graph, "csv", _CSV_BREAKS, ("",))
     preamble = (
         f"# doc_id = {graph.doc_id}\n"
         f"# unit_count = {graph.unit_count}\n"
@@ -222,19 +271,11 @@ def _write_csv(graph: DependencyGraph) -> bytes:
 
 def _read_csv(text: str) -> DependencyGraph:
     meta, body = _split_comments(text)
-    arcs = []
-    max_unit = 0
-    for line_no, fields in _csv_rows(body, _CSV_HEADER):
-        try:
-            dependent, head = int(fields[0]), int(fields[1])
-            arc = DependencyArc.make(dependent, head, _sense_from_fields(*fields[3:]))
-        except ValueError as err:
-            raise FormatError(f"line {line_no}: {err}") from None
-        if fields[2] != "":
-            _check_distance(fields[2], arc, line_no)
-        arcs.append(arc)
-        max_unit = max(max_unit, dependent, head)
-    return _graph(meta, meta.get("unit_count", max_unit), arcs)
+    rows = (
+        (line_no, dependent, head, distance or None, (level1, level2 or None, level3 or None))
+        for line_no, (dependent, head, distance, level1, level2, level3) in _csv_rows(body, _CSV_HEADER)
+    )
+    return _graph(meta, rows, meta.get("unit_count"))
 
 
 def _write_json(graph: DependencyGraph) -> bytes:
@@ -272,25 +313,18 @@ def _read_json(text: str) -> DependencyGraph:
     entries = payload.get("arcs", [])
     if not isinstance(entries, list):
         raise FormatError(f"arcs must be a list, got {type(entries).__name__}")
-    arcs = []
+    return _graph(meta, _json_rows(entries), meta.get("unit_count", 0), "arc", _json_int)
+
+
+def _json_rows(entries: list):
+    """The arc rows of the json ``arcs`` list, numbered from 0."""
     for i, entry in enumerate(entries):
         try:
-            sense_obj = entry.get("sense", {})
-            sense = SenseTag(
-                sense_obj["level1"], sense_obj.get("level2"), sense_obj.get("level3")
-            )
-            for key in ("level1", "level2", "level3"):
-                value = getattr(sense, key)
-                if not isinstance(value, str) and (key == "level1" or value is not None):
-                    raise FormatError(f"arc {i}: sense {key} must be a string, got {value!r}")
-            arc = DependencyArc.make(int(entry["dependent"]), int(entry["head"]), sense)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
+            sense = entry.get("sense", {})
+            levels = (sense["level1"], sense.get("level2"), sense.get("level3"))
+            yield i, entry["dependent"], entry["head"], entry.get("distance"), levels
+        except (AttributeError, KeyError, TypeError) as err:
             raise FormatError(f"arc {i}: {err}") from None
-        declared = entry.get("distance")
-        if declared is not None and declared != arc.distance:
-            raise FormatError(f"arc {i}: distance {declared} disagrees with computed {arc.distance}")
-        arcs.append(arc)
-    return _graph(meta, meta.get("unit_count", 0), arcs)
 
 
 METRICS_HEADER = ("doc_id", "n_units", "n_arcs", "mdd", "sd")
@@ -313,7 +347,10 @@ def _metric(cell: str, name: str) -> float | None:
 
 def write_metrics(records: list[MetricsRecord]) -> bytes:
     """Metrics CSV sorted by doc_id; undefined values become empty cells,
-    and a non-finite value raises FormatError."""
+    and a non-finite value or a doc_id with a line break raises FormatError."""
+    for rec in records:
+        if not _CSV_BREAKS.isdisjoint(rec.doc_id):
+            raise FormatError(f"metrics cannot represent doc_id {rec.doc_id!r}")
     rows = (
         (rec.doc_id, rec.unit_count, rec.arc_count, _metric_cell(rec, "mdd"), _metric_cell(rec, "sd"))
         for rec in sorted(records, key=lambda r: r.doc_id)
@@ -324,9 +361,8 @@ def write_metrics(records: list[MetricsRecord]) -> bytes:
 def read_metrics(data: bytes | str) -> list[MetricsRecord]:
     """Records of a metrics csv. No line is a comment: a doc_id may start with ``#``."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [(no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip()]
     records = []
-    for line_no, (doc_id, units, arcs, mdd, sd) in _csv_rows(lines, METRICS_HEADER):
+    for line_no, (doc_id, units, arcs, mdd, sd) in _csv_rows(list(_lines(text)), METRICS_HEADER):
         at = f"line {line_no}: "
         try:
             mdd, sd = _metric(mdd, at + "mdd"), _metric(sd, at + "sd")
@@ -342,15 +378,8 @@ def read_two_columns(path: str | Path, name: str) -> list[tuple[int, str, str]]:
     Fields are stripped; blank lines and ``#`` comments are skipped. A row
     without exactly two fields raises ValueError naming ``name`` and the line.
     """
-    rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"{name} line {line_no}: expected 2 tab-separated fields")
-        rows.append((line_no, parts[0].strip(), parts[1].strip()))
-    return rows
+    text = Path(path).read_text(encoding="utf-8")
+    return list(_tab_rows(text, 2, ValueError, f"{name} line"))
 
 
 def write_correlation(result: CorrelationResult) -> bytes:

@@ -1,7 +1,6 @@
 """Shared domain types: documents, spans, relations, trees, dependency graphs.
 
-All types are immutable after construction and safe to share across
-concurrent workers.
+All types are immutable after construction.
 """
 
 from __future__ import annotations

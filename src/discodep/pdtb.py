@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .formats import _lines
 from .model import (
     Diagnostic,
     DiscodepError,
@@ -189,9 +190,7 @@ def parse_relation_text(
     """Parse relation records from text, one per line; blank lines ignored."""
     relations: list[PdtbRelation] = []
     diagnostics: list[Diagnostic] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in _lines(text):
         try:
             relations.append(parse_relation_line(line, columns, line_no))
         except (PdtbParseError, ValueError) as err:

@@ -312,7 +312,7 @@ def test_criterion_6_desk_scale_substitutes(tmp_path, fixtures_dir):
 
 
 def test_criterion_7_worker_count_determinism(tmp_path, fixtures_dir):
-    # corpus with three documents so the parallel map has real work
+    # a corpus of three documents, so each command handles more than one
     corpus = tmp_path / "pdtb"
     corpus.mkdir()
     annotation = (fixtures_dir / "wsj_0618.pdtb").read_text()

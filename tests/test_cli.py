@@ -123,6 +123,16 @@ class TestConvertPdtb:
             "--out", tmp_path / "out",
         ) == 2
 
+    @pytest.mark.parametrize("theta", ["2", "0", "-0.5", "1.0000001", "nan", "inf"])
+    def test_theta_outside_unit_interval_is_usage_error(self, tmp_path, pdtb_corpus, seg_file, capsys, theta):
+        out = tmp_path / "out"
+        code = run(
+            "convert-pdtb", "--input", pdtb_corpus, "--edus", seg_file, "--out", out, "--theta", theta
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --theta must be in (0, 1], got {float(theta)}\n"
+        assert not out.exists()
+
 
 class TestConvertRst:
     def test_fig1_hirao(self, tmp_path, fixtures_dir):
@@ -204,6 +214,36 @@ class TestConvertRst:
         for doc_id, line in zip(sorted(bad), lines):
             assert line.startswith(f"[dis-parse-error] {doc_id}: malformed")
             assert not (out / f"{doc_id}.conll").exists()
+
+    def test_unwritable_doc_id_fails_alone(self, tmp_path, fixtures_dir):
+        # a doc_id with outer whitespace would read back stripped from a
+        # conll comment, so that document alone is refused
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / "fig1.dis")
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / " fig2 .dis")
+        out = tmp_path / "out"
+        assert run("convert-rst", "--input", corpus, "--out", out) == 1
+        assert (out / "fig1.conll").exists()
+        assert not (out / " fig2 .conll").exists()
+        assert (out / "diagnostics.txt").read_text() == (
+            "[doc-failed]  fig2 : FormatError: conll cannot represent doc_id ' fig2 '\n"
+        )
+
+    def test_unwritable_sense_level_fails_in_conll_only(self, tmp_path, fixtures_dir):
+        # "_" is conll's empty cell, so a class mapped to "_" cannot be written there
+        label_map = tmp_path / "map.tsv"
+        label_map.write_text("preparation\t_\n", encoding="utf-8")
+        for fmt, code in (("conll", 1), ("csv", 0), ("json", 0)):
+            out = tmp_path / fmt
+            assert run(
+                "convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", out,
+                "--label-map", label_map, "--format", fmt,
+            ) == code
+            assert (out / f"fig1.{fmt}").exists() == (code == 0)
+        assert (tmp_path / "conll" / "diagnostics.txt").read_text() == (
+            "[doc-failed] fig1: FormatError: conll cannot represent sense level2 '_'\n"
+        )
 
     def test_workers_run_on_calling_thread(self, tmp_path, fixtures_dir, monkeypatch):
         corpus = tmp_path / "rst"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -16,7 +17,9 @@ from discodep import (
     write_dep,
     write_metrics,
 )
-from discodep.formats import FORMATS, FormatError
+from discodep.align import parse_segmentation
+from discodep.formats import FORMATS, FormatError, read_two_columns
+from discodep.pdtb import parse_relation_text
 
 
 def rooted_two_edu():
@@ -193,7 +196,7 @@ class TestReadDep:
             read_dep(text, fmt)
 
 
-_sense_text = st.text(alphabet="abcdefgXYZ-", min_size=1, max_size=8)
+_sense_text = st.text()
 
 
 @st.composite
@@ -212,7 +215,7 @@ def local_forests(draw):
             )
             arcs.append(DependencyArc.make(dependent, head, sense))
     return DependencyGraph(
-        draw(st.text(alphabet="abc_0123", min_size=1, max_size=8)),
+        draw(st.text()),
         n,
         tuple(arcs),
         GraphFlavor.LOCAL_FOREST,
@@ -221,7 +224,31 @@ def local_forests(draw):
 
 @given(graph=local_forests(), fmt=st.sampled_from(FORMATS))
 def test_round_trip_identity_generated_graphs(graph, fmt):
-    assert read_dep(write_dep(graph, fmt), fmt) == graph
+    """Any doc_id and sense text is either refused by the writer or read back as written;
+    json refuses none."""
+    try:
+        data = write_dep(graph, fmt)
+    except FormatError:
+        assert fmt != "json"
+        return
+    assert read_dep(data, fmt) == graph
+
+
+_metric_value = st.none() | st.integers(0, 10**6).map(lambda k: k / 64)  # exact in 6 decimals
+
+
+@given(
+    records=st.lists(
+        st.builds(MetricsRecord, st.text(), st.integers(0, 99), st.integers(0, 99), _metric_value, _metric_value)
+    )
+)
+def test_metrics_round_trip_generated_records(records):
+    """Any doc_id is either refused by the writer or read back as written."""
+    try:
+        data = write_metrics(records)
+    except FormatError:
+        return
+    assert read_metrics(data) == sorted(records, key=lambda r: r.doc_id)
 
 
 class TestMetricsFiles:
@@ -364,3 +391,144 @@ class TestCsvReaderFaults:
     def test_write_metrics_refuses_non_finite(self, value):
         with pytest.raises(FormatError, match="^a: mdd (nan|inf) is not finite$"):
             write_metrics([MetricsRecord("a", 3, 2, value, None)])
+
+
+# every character other than "\r" and "\n" that str.splitlines breaks at
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestOnlyCrAndLfEndALine:
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_doc_id_round_trips(self, char, fmt):
+        graph = dataclasses.replace(rooted_two_edu(), doc_id=f"a{char}b")
+        assert read_dep(write_dep(graph, fmt), fmt) == graph
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_sense_level_round_trips_in_csv(self, char):
+        graph = DependencyGraph(
+            "d", 2, (DependencyArc.make(1, 2, SenseTag(f"x{char}y")),), GraphFlavor.LOCAL_FOREST
+        )
+        assert read_dep(write_dep(graph, "csv"), "csv") == graph
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_metrics_doc_id_round_trips(self, char):
+        recs = [MetricsRecord(f"a{char}b", 2, 1, 1.0, None)]
+        assert read_metrics(write_metrics(recs)) == recs
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_segmentation_doc_id(self, char):
+        docs = parse_segmentation(f"d{char}1\t1\t0\t5\nd{char}1\t2\t5\t9\n")
+        assert docs[f"d{char}1"].unit_count == 2
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_relation_field(self, char):
+        fields = [""] * 32
+        fields[0], fields[7], fields[8], fields[14], fields[20] = (
+            "Explicit", f"if{char}then", "Contingency.Condition", "0..4", "5..9",
+        )
+        relations, diagnostics = parse_relation_text("|".join(fields) + "\n")
+        assert diagnostics == []
+        assert relations[0].connective == f"if{char}then"
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_two_column_field(self, tmp_path, char):
+        path = tmp_path / "map.tsv"
+        path.write_text(f"a{char}b\tc\n", encoding="utf-8")
+        assert read_two_columns(path, "label-map") == [(1, f"a{char}b", "c")]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, ending):
+        text = write_dep(rooted_two_edu(), "conll").decode().replace("\n", ending)
+        assert read_dep(text, "conll") == rooted_two_edu()
+
+
+ARC = '{{"arcs": [{{"dependent": {dependent}, "head": {head}, "distance": {distance}, "sense": {{"level1": "x"}}}}]}}'
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        (field, value, shown)
+        for field in ("dependent", "head", "distance")
+        for value, shown in (("1.7", "1.7"), ("1e0", "1.0"), ("true", "True"), ('"3"', "'3'"))
+    ],
+)
+def test_json_ids_and_distance_must_be_json_integers(field, value, shown):
+    values = {"dependent": "1", "head": "2", "distance": "1", field: value}
+    name = "distance" if field == "distance" else f"{field} id"
+    with pytest.raises(FormatError) as info:
+        read_dep(ARC.format(**values), "json")
+    assert str(info.value) == f"arc 0: bad {name} {shown}"
+
+
+@pytest.mark.parametrize("row, message", [("x,2,1,a,,", "bad dependent id 'x'"), ("1,y,1,a,,", "bad head id 'y'")])
+def test_csv_non_integer_id_uses_conll_wording(row, message):
+    with pytest.raises(FormatError) as info:
+        read_dep(f"dependent,head,distance,sense1,class,type\n{row}\n", "csv")
+    assert str(info.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "fmt, text, where",
+    [
+        ("conll", "1\t2\tx\t_\t_\t05\n2\t_\t_\t_\t_\t_\n", "line 1: "),
+        ("csv", "dependent,head,distance,sense1,class,type\n1,2,5,x,,\n", "line 2: "),
+        ("json", ARC.format(dependent=1, head=2, distance=5), "arc 0: "),
+    ],
+)
+def test_distance_mismatch_reads_the_same_in_every_format(fmt, text, where):
+    with pytest.raises(FormatError) as info:
+        read_dep(text, fmt)
+    assert str(info.value) == f"{where}distance 5 disagrees with |1 - 2|"
+
+
+def test_two_column_field_count_names_the_count(tmp_path):
+    path = tmp_path / "rules.tsv"
+    path.write_text("# rules\nPurpose\tmarked-head\textra\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_two_columns(path, "head-rules")
+    assert str(info.value) == "head-rules line 2: expected 2 tab-separated fields, got 3"
+
+
+class TestWritersRefuseWhatReadsBackDifferently:
+    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb", " d ", "d\t", " d"])
+    @pytest.mark.parametrize("fmt", ["conll", "csv"])
+    def test_doc_id(self, fmt, doc_id):
+        graph = dataclasses.replace(rooted_two_edu(), doc_id=doc_id)
+        with pytest.raises(FormatError) as info:
+            write_dep(graph, fmt)
+        assert str(info.value) == f"{fmt} cannot represent doc_id {doc_id!r}"
+
+    @pytest.mark.parametrize(
+        "fmt, sense, key, level",
+        [
+            ("conll", SenseTag("x", "_"), "level2", "_"),
+            ("conll", SenseTag("x", None, "_"), "level3", "_"),
+            ("conll", SenseTag("x", ""), "level2", ""),
+            ("conll", SenseTag("x\ty"), "level1", "x\ty"),
+            ("conll", SenseTag("x", "a\nb"), "level2", "a\nb"),
+            ("csv", SenseTag("x", ""), "level2", ""),
+            ("csv", SenseTag("x", None, "a\rb"), "level3", "a\rb"),
+            ("csv", SenseTag("a\nb"), "level1", "a\nb"),
+        ],
+    )
+    def test_sense_level(self, fmt, sense, key, level):
+        graph = DependencyGraph("d", 2, (DependencyArc.make(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
+        with pytest.raises(FormatError) as info:
+            write_dep(graph, fmt)
+        assert str(info.value) == f"{fmt} cannot represent sense {key} {level!r}"
+
+    @pytest.mark.parametrize(
+        "doc_id, sense", [("a\nb", SenseTag("x")), (" d ", SenseTag("x")), ("d", SenseTag("x", "_")),
+                          ("d", SenseTag("x", "")), ("d", SenseTag("x\ty"))],
+    )
+    def test_json_writes_all_of_them(self, doc_id, sense):
+        graph = DependencyGraph(doc_id, 2, (DependencyArc.make(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
+        assert read_dep(write_dep(graph, "json"), "json") == graph
+
+    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb"])
+    def test_metrics_doc_id(self, doc_id):
+        with pytest.raises(FormatError) as info:
+            write_metrics([MetricsRecord("a", 1, 0, None, None), MetricsRecord(doc_id, 2, 1, 1.0, None)])
+        assert str(info.value) == f"metrics cannot represent doc_id {doc_id!r}"
