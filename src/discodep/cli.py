@@ -184,9 +184,19 @@ def cmd_metrics(args) -> int:
     return EXIT_DIAGNOSTICS if len(records) < len(paths) else EXIT_OK
 
 
+def _metrics_by_doc(path: str) -> dict:
+    """The records of a metrics file by doc_id; a repeated doc_id raises ValueError."""
+    records = {}
+    for record in read_metrics(Path(path).read_bytes()):
+        if record.doc_id in records:
+            raise ValueError(f"{path}: doc_id {record.doc_id!r} appears more than once")
+        records[record.doc_id] = record
+    return records
+
+
 def cmd_correlate(args) -> int:
-    left = {r.doc_id: r for r in read_metrics(Path(args.left).read_bytes())}
-    right = {r.doc_id: r for r in read_metrics(Path(args.right).read_bytes())}
+    left = _metrics_by_doc(args.left)
+    right = _metrics_by_doc(args.right)
     shared = sorted(set(left) & set(right))
     for doc_id in sorted(set(left) ^ set(right)):
         log.warning("unpaired document: %s", doc_id)

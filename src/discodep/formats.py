@@ -26,6 +26,7 @@ from .model import (
     GraphFlavor,
     ROOT,
     SenseTag,
+    _by_dependent,
 )
 
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
@@ -83,22 +84,22 @@ def _check_writable(graph: DependencyGraph, fmt: str, breaks: frozenset[str], ab
 
 def _write_conll(graph: DependencyGraph) -> bytes:
     _check_writable(graph, "conll", _LINE_BREAKS | {"\t"}, _EMPTY)
-    by_unit: dict[int, DependencyArc] = {}
-    for arc in graph.arcs:
-        if arc.dependent in by_unit:
-            raise FormatError(
-                f"conll cannot represent unit {arc.dependent} with multiple heads"
-            )
-        by_unit[arc.dependent] = arc
+    n = graph.unit_count
+    by_dependent = _by_dependent(graph.arcs)
+    for unit, arcs in by_dependent.items():
+        if not 1 <= unit <= n:
+            raise FormatError(f"conll cannot represent unit {unit} outside 1..{n}")
+        if len(arcs) > 1:
+            raise FormatError(f"conll cannot represent unit {unit} with multiple heads")
     lines = [
         f"# doc_id = {graph.doc_id}",
         f"# flavor = {graph.flavor.value}",
     ]
-    for unit in range(1, graph.unit_count + 1):
-        arc = by_unit.get(unit)
-        if arc is None:
+    for unit in range(1, n + 1):
+        if unit not in by_dependent:
             lines.append(f"{unit}\t_\t_\t_\t_\t_")
             continue
+        [arc] = by_dependent[unit]
         l1, l2, l3 = _sense_fields(arc.sense)
         distance = "_" if arc.distance is None else str(arc.distance)
         lines.append(

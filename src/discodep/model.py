@@ -282,35 +282,41 @@ class DependencyGraph:
         return [a.distance for a in self.arcs if a.distance is not None]
 
 
-def _cycles(arcs: tuple[DependencyArc, ...]) -> list[list[int]]:
+def _by_dependent(arcs: tuple[DependencyArc, ...]) -> dict[int, list[DependencyArc]]:
+    """Each dependent's arcs, root arcs included, in the order given: the one
+    per-unit table. From a graph's canonical arcs the dependents ascend."""
+    table: dict[int, list[DependencyArc]] = {}
+    for arc in arcs:
+        table.setdefault(arc.dependent, []).append(arc)
+    return table
+
+
+def _cycles(by_dependent: dict[int, list[DependencyArc]]) -> list[list[int]]:
     """Units of each strongly connected component that holds a cycle, sorted.
 
-    Iterative Tarjan over the non-root dependent -> head arcs: linear in
-    units plus arcs, and no recursion. Components come in order of their
-    smallest unit.
+    Iterative Tarjan over the non-root dependent -> head arcs of the
+    ``_by_dependent`` table: linear in units plus arcs, and no recursion.
+    Components come in order of their smallest unit.
     """
-    heads: dict[int, list[int]] = {}
-    for arc in arcs:
-        if not arc.is_root:
-            heads.setdefault(arc.dependent, []).append(arc.head)
     low: dict[int, float] = {}  # lowlink; inf once the unit's component is closed
     stack: list[int] = []
-    work: list = []  # (unit, discovery index, stack height before it, heads left)
+    work: list = []  # (unit, discovery index, stack height before it, arcs left)
     components = []
 
     def visit(unit: int) -> None:
         low[unit] = len(low)
-        work.append((unit, low[unit], len(stack), iter(heads[unit])))
+        work.append((unit, low[unit], len(stack), iter(by_dependent[unit])))
         stack.append(unit)
 
-    for root in heads:
+    for root in by_dependent:
         if root not in low:
             visit(root)
         while work:
-            unit, index, height, nexts = work[-1]
-            for nxt in nexts:
-                if nxt not in heads:
-                    continue  # a unit without heads lies on no cycle
+            unit, index, height, arcs = work[-1]
+            for arc in arcs:
+                nxt = arc.head
+                if nxt == ROOT or nxt not in by_dependent:
+                    continue  # neither ROOT nor a unit without heads lies on a cycle
                 if nxt not in low:
                     visit(nxt)
                     break
@@ -335,83 +341,53 @@ def validate_graph(graph: DependencyGraph) -> list[Diagnostic]:
 
     Anomalous corpus phenomena (multiple heads, cycles) are representable
     in a DependencyGraph; this validator makes them visible rather than
-    rejecting them at construction time.
+    rejecting them at construction time. Every unit lies in 1..unit_count;
+    ROOT is allowed only as a head.
     """
     diags: list[Diagnostic] = []
-    doc = graph.doc_id
+    n = graph.unit_count
+    by_dependent = _by_dependent(graph.arcs)
 
-    for arc in graph.arcs:
-        for unit in (arc.dependent, arc.head):
-            if unit != ROOT and not 1 <= unit <= graph.unit_count:
-                diags.append(
-                    Diagnostic(
+    def report(code: str, message: str) -> None:
+        diags.append(Diagnostic(code, message, doc_id=graph.doc_id))
+
+    for unit, arcs in by_dependent.items():
+        for arc in arcs:
+            for end in (unit,) if arc.is_root else (unit, arc.head):
+                if not 1 <= end <= n:
+                    report(
                         "unit-out-of-range",
-                        f"arc {arc.dependent}->{arc.head} references unit {unit} "
-                        f"outside 1..{graph.unit_count}",
-                        doc_id=doc,
+                        f"arc {unit}->{arc.head} references unit {end} outside 1..{n}",
                     )
-                )
-
-    dependents: dict[int, int] = {}
-    for arc in graph.arcs:
-        dependents[arc.dependent] = dependents.get(arc.dependent, 0) + 1
-    for unit, count in sorted(dependents.items()):
-        if count > 1:
-            diags.append(
-                Diagnostic(
-                    "multiple-heads",
-                    f"multiple heads for unit {unit} ({count} arcs)",
-                    doc_id=doc,
-                )
+    for unit, arcs in by_dependent.items():
+        if len(arcs) > 1:
+            report(
+                "multiple-heads", f"multiple heads for unit {unit} ({len(arcs)} arcs)"
             )
 
-    root_arcs = [a for a in graph.arcs if a.is_root]
+    roots = [unit for unit, arcs in by_dependent.items() for arc in arcs if arc.is_root]
     if graph.flavor is GraphFlavor.ROOTED_TREE:
-        if len(root_arcs) != 1:
-            diags.append(
-                Diagnostic(
-                    "root-count",
-                    f"rooted tree must have exactly one ROOT arc, found {len(root_arcs)}",
-                    doc_id=doc,
-                )
+        if len(roots) != 1:
+            report(
+                "root-count",
+                f"rooted tree must have exactly one ROOT arc, found {len(roots)}",
             )
-        headless = set(range(1, graph.unit_count + 1)) - set(dependents)
+        headless = [str(unit) for unit in range(1, n + 1) if unit not in by_dependent]
         if headless:
-            diags.append(
-                Diagnostic(
-                    "unattached-units",
-                    "units without a head: " + ", ".join(map(str, sorted(headless))),
-                    doc_id=doc,
-                )
-            )
+            report("unattached-units", "units without a head: " + ", ".join(headless))
     else:
-        for arc in root_arcs:
-            diags.append(
-                Diagnostic(
-                    "unexpected-root",
-                    f"local forest contains a ROOT arc for unit {arc.dependent}",
-                    doc_id=doc,
-                )
+        for unit in roots:
+            report(
+                "unexpected-root", f"local forest contains a ROOT arc for unit {unit}"
             )
 
-    for cycle in _cycles(graph.arcs):
-        diags.append(
-            Diagnostic(
-                "cycle",
-                "dependency cycle through units " + ", ".join(map(str, cycle)),
-                doc_id=doc,
-            )
+    for cycle in _cycles(by_dependent):
+        report("cycle", "dependency cycle through units " + ", ".join(map(str, cycle)))
+
+    # acyclic + single-headed + one root over 1..n implies connected
+    if graph.flavor is GraphFlavor.ROOTED_TREE and not diags and len(graph.arcs) != n:
+        report(
+            "arc-count",
+            f"rooted tree over {n} units must have {n} arcs, found {len(graph.arcs)}",
         )
-
-    if graph.flavor is GraphFlavor.ROOTED_TREE and not diags:
-        # acyclic + single-headed + one root over 1..n implies connected
-        if len(graph.arcs) != graph.unit_count:
-            diags.append(
-                Diagnostic(
-                    "arc-count",
-                    f"rooted tree over {graph.unit_count} units must have "
-                    f"{graph.unit_count} arcs, found {len(graph.arcs)}",
-                    doc_id=doc,
-                )
-            )
     return diags

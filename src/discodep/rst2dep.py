@@ -155,5 +155,11 @@ def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> Dependen
 
 
 def load_label_map(path: str | Path) -> dict[str, str]:
-    """Read a two-column relation-to-class file (TAB separated)."""
-    return {relation: cls for _, relation, cls in read_two_columns(path, "label-map")}
+    """Read a two-column relation-to-class file (TAB separated); a row with
+    an empty class raises ValueError."""
+    label_map = {}
+    for line_no, relation, cls in read_two_columns(path, "label-map"):
+        if not cls:
+            raise ValueError(f"label-map line {line_no}: empty class for relation {relation!r}")
+        label_map[relation] = cls
+    return label_map

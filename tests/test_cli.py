@@ -1,10 +1,11 @@
+import dataclasses
 import shutil
 import threading
 from pathlib import Path
 
 import pytest
 
-from discodep import hirao_convert, read_dep, read_metrics, validate_graph
+from discodep import hirao_convert, read_dep, read_metrics, validate_graph, write_dep
 from discodep.cli import main
 
 
@@ -245,6 +246,18 @@ class TestConvertRst:
             "[doc-failed] fig1: FormatError: conll cannot represent sense level2 '_'\n"
         )
 
+    def test_label_map_with_empty_class_is_usage_error(self, tmp_path, fixtures_dir, capsys):
+        label_map = tmp_path / "map.tsv"
+        label_map.write_text("elaboration\tELABORATION\npreparation\t\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(
+            "convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", out, "--label-map", label_map
+        ) == 2
+        assert capsys.readouterr().err == (
+            "error: label-map line 2: empty class for relation 'preparation'\n"
+        )
+        assert not out.exists()
+
     def test_workers_run_on_calling_thread(self, tmp_path, fixtures_dir, monkeypatch):
         corpus = tmp_path / "rst"
         corpus.mkdir()
@@ -331,6 +344,25 @@ class TestCorrelate:
         right.write_text("doc_id,n_units,n_arcs,mdd,sd\nz,5,4,1.0,\n")
         assert run("correlate", "--left", left, "--right", right, "--out", tmp_path / "c.csv") == 2
 
+    def test_repeated_doc_id_is_usage_error(self, tmp_path, fig1_tree, capsys):
+        # metrics writes one row per file, so wsj_0001.conll and wsj_0001.json give two
+        dep = tmp_path / "dep"
+        dep.mkdir()
+        graph = dataclasses.replace(hirao_convert(fig1_tree), doc_id="wsj_0001")
+        for fmt in ("conll", "json"):
+            (dep / f"wsj_0001.{fmt}").write_bytes(write_dep(graph, fmt))
+        metrics = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", metrics) == 0
+        other = tmp_path / "r.csv"
+        other.write_text("doc_id,n_units,n_arcs,mdd,sd\nwsj_0001,5,4,1.0,0.5\n")
+        out = tmp_path / "c.csv"
+        for left, right in ((metrics, other), (other, metrics)):
+            assert run("correlate", "--left", left, "--right", right, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                f"error: {metrics}: doc_id 'wsj_0001' appears more than once\n"
+            )
+        assert not out.exists()
+
     def test_sd_field_selected(self, tmp_path):
         left = tmp_path / "l.csv"
         right = tmp_path / "r.csv"
@@ -355,6 +387,12 @@ class TestValidateCommand:
     def test_anomalous_graph_exits_one(self, tmp_path, fixtures_dir, capsys):
         assert run("validate", "--input", fixtures_dir / "fig1_local.json") == 1
         assert "multiple heads" in capsys.readouterr().out
+
+    def test_dependent_zero_is_out_of_range(self, tmp_path, capsys):
+        dep = tmp_path / "zero.csv"
+        dep.write_text("dependent,head,distance,sense1,class,type\n0,3,3,Contrast,,\n")
+        assert run("validate", "--input", dep) == 1
+        assert capsys.readouterr().out == "[unit-out-of-range] zero: arc 0->3 references unit 0 outside 1..3\n"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -71,6 +71,16 @@ class TestWriteDep:
         with pytest.raises(FormatError, match="multiple heads"):
             write_dep(g, "conll")
 
+    @pytest.mark.parametrize("dependent", [0, -1, 4])
+    def test_conll_refuses_dependent_outside_units(self, dependent):
+        g = DependencyGraph(
+            "d", 3, (DependencyArc.make(dependent, 2, SenseTag("x")),), GraphFlavor.LOCAL_FOREST
+        )
+        with pytest.raises(FormatError, match=f"^conll cannot represent unit {dependent} outside 1..3$"):
+            write_dep(g, "conll")
+        for fmt in ("csv", "json"):
+            assert read_dep(write_dep(g, fmt), fmt) == g
+
     def test_byte_determinism(self, wsj_graph):
         for fmt in FORMATS:
             assert write_dep(wsj_graph, fmt) == write_dep(wsj_graph, fmt)

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import seed_model
 from discodep import (
@@ -13,7 +13,7 @@ from discodep import (
     Span,
     validate_graph,
 )
-from discodep.model import _cycles
+from discodep.model import ROOT, _by_dependent, _cycles
 
 
 def arc(dep, head, l1="Expansion", l2="Conjunction"):
@@ -178,4 +178,35 @@ def test_components_match_simple_cycle_enumeration(pairs):
     """Every unit on a simple cycle is in a reported component, and the
     components are exactly the groups of cycles that share units."""
     arcs = tuple(arc(dep, head) for dep, head in pairs)
-    assert _cycles(arcs) == _merge_overlapping(seed_model.cycles(arcs))
+    assert _cycles(_by_dependent(arcs)) == _merge_overlapping(seed_model.cycles(arcs))
+
+
+_SENSES = st.sampled_from([SenseTag("Expansion"), SenseTag("Contrast", "x"), SenseTag("Cause", "y", "z")])
+
+
+@st.composite
+def anomalous_graphs(draw):
+    """Graphs of either flavor over 0-8 units whose ids run from -1 to n + 2:
+    root arcs, out-of-range units, multiple heads and repeated
+    dependent/head pairs with different senses."""
+    n = draw(st.integers(0, 8))
+    ids = st.integers(-1, n + 2)
+    triples = draw(st.lists(st.tuples(ids, ids, _SENSES).filter(lambda t: t[0] != t[1]), max_size=12))
+    flavor = draw(st.sampled_from(GraphFlavor))
+    return DependencyGraph("doc", n, tuple(DependencyArc.make(*t) for t in triples), flavor)
+
+
+@settings(deadline=None, max_examples=500)
+@given(anomalous_graphs())
+def test_validate_graph_matches_seed_validator(graph):
+    """The same diagnostics in the same order as the validator with its own
+    side indexes, except that a dependent equal to ROOT is now out of range:
+    each such arc adds its ``references unit 0`` line, and arc-count, which
+    is emitted only when nothing else is, then drops out."""
+    new, old = validate_graph(graph), seed_model.validate_graph(graph)
+    zero_dependents = sum(a.dependent == ROOT for a in graph.arcs)
+    added = [d for d in new if d.code == "unit-out-of-range" and "references unit 0 outside" in d.message]
+    assert len(added) == zero_dependents
+    if zero_dependents:
+        old = [d for d in old if d.code != "arc-count"]
+    assert [d for d in new if d not in added] == old

@@ -245,3 +245,6 @@ def test_load_label_map(tmp_path):
     path.write_text("elaboration\tELABORATION\nresult\n")
     with pytest.raises(ValueError, match="label-map line 2: expected 2 tab-separated fields"):
         load_label_map(path)
+    path.write_text("elaboration\tELABORATION\npreparation\t \n")
+    with pytest.raises(ValueError, match="^label-map line 2: empty class for relation 'preparation'$"):
+        load_label_map(path)
