@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from pathlib import Path
 
-from .formats import _tab_rows
+from .formats import _lines, _tab_rows
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
@@ -104,14 +104,11 @@ def resolve_span_set(
     return {best_index}
 
 
-def parse_segmentation(text: str) -> dict[str, Document]:
-    """Parse a segmentation file: tab-separated doc_id, edu_index, start, end.
-
-    One EDU per line; per-document indices must be contiguous from 1 and
-    spans ordered and non-overlapping (enforced by Document).
-    """
+def _documents(lines: Iterable[tuple[int, str]]) -> dict[str, Document]:
+    """The documents of numbered segmentation lines; every row is checked
+    before any document, and the first defect raises SegmentationError."""
     per_doc: dict[str, list[tuple[int, Span]]] = {}
-    for line_no, doc_id, index, start, end in _tab_rows(text, 4, SegmentationError):
+    for line_no, doc_id, index, start, end in _tab_rows(lines, 4, SegmentationError):
         try:
             per_doc.setdefault(doc_id, []).append((int(index), Span(int(start), int(end))))
         except ValueError as err:
@@ -125,8 +122,70 @@ def parse_segmentation(text: str) -> dict[str, Document]:
     return documents
 
 
-def read_segmentation(path: str | Path) -> dict[str, Document]:
-    return parse_segmentation(Path(path).read_text(encoding="utf-8"))
+def parse_segmentation(text: str) -> dict[str, Document]:
+    """Parse a segmentation file: tab-separated doc_id, edu_index, start, end.
+
+    One EDU per line; per-document indices must be contiguous from 1 and
+    spans ordered and non-overlapping (enforced by Document).
+    """
+    return _documents(_lines(text))
+
+
+class Inventories(Mapping[str, Document]):
+    """The wanted documents of a segmentation file by doc_id. Looking up a
+    document whose inventory is defective raises its SegmentationError."""
+
+    def __init__(self, entries: dict[str, Document | SegmentationError]):
+        self._entries = entries
+
+    def __getitem__(self, doc_id: str) -> Document:
+        entry = self._entries[doc_id]
+        if isinstance(entry, SegmentationError):
+            raise entry
+        return entry
+
+    def __contains__(self, doc_id: object) -> bool:
+        return doc_id in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def read_segmentation(
+    path: str | Path, doc_ids: Collection[str] | None = None
+) -> Mapping[str, Document]:
+    """The documents of a segmentation file; with ``doc_ids``, only those.
+
+    Without ``doc_ids`` every inventory is parsed and the first defect
+    raises SegmentationError, as in ``parse_segmentation``. With them, a
+    line is attributed to the document named by its stripped first field
+    and split further only if that document is wanted; each wanted
+    inventory gets the same checks, and a defect in it is raised when that
+    document is looked up. A defect in an unwanted inventory goes
+    unnoticed. A non-comment line with no tab names no document, so it
+    raises at once: otherwise a mangled line could shorten an inventory.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if doc_ids is None:
+        return parse_segmentation(text)
+    wanted: dict[str, list[tuple[int, str]]] = {}
+    for line_no, line in _lines(text):
+        first, tab, _ = line.partition("\t")
+        if not tab:
+            if not line.lstrip().startswith("#"):
+                _documents([(line_no, line)])  # raises the row check's field-count error
+        elif first.strip() in doc_ids:
+            wanted.setdefault(first.strip(), []).append((line_no, line))
+    entries: dict[str, Document | SegmentationError] = {}
+    for doc_id, lines in wanted.items():
+        try:
+            entries.update(_documents(lines))
+        except SegmentationError as err:
+            entries[doc_id] = err
+    return Inventories(entries)
 
 
 def write_segmentation(documents: Iterable[Document]) -> str:

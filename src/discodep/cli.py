@@ -109,8 +109,8 @@ def cmd_convert_pdtb(args) -> int:
         raise ValueError(f"--theta must be in (0, 1], got {args.theta}")
     columns = ColumnMap.from_string(args.columns) if args.columns else DEFAULT_COLUMNS
     head_rules = load_head_rules(args.head_rules) if args.head_rules else DEFAULT_HEAD_RULES
-    documents = read_segmentation(args.edus)
     files = _collect(Path(args.input), ("pdtb",))
+    documents = read_segmentation(args.edus, {p.stem for p in files})
 
     def one(path: Path):
         doc_id = path.stem
@@ -166,7 +166,8 @@ def _read_dep_file(path: Path):
 
 
 def cmd_metrics(args) -> int:
-    """Metrics of every readable file; each unreadable one is an ``error:``
+    """Metrics of every readable file, one row per doc_id. An unreadable
+    file, or one whose doc_id an earlier file already gave, is an ``error:``
     line on stderr and makes the run exit 1."""
     paths = _collect(Path(args.input), FORMATS)
 
@@ -175,10 +176,15 @@ def cmd_metrics(args) -> int:
         return metrics_record(graph, args.mode)
 
     records = []
+    measured_from: dict[str, Path] = {}
     for path, result in _each(one, paths):
         if isinstance(result, Exception):
             print(f"error: {path}: {_failure(result)}", file=sys.stderr)
+        elif result.doc_id in measured_from:
+            first = measured_from[result.doc_id]
+            print(f"error: {path}: doc_id {result.doc_id!r} already measured from {first}", file=sys.stderr)
         else:
+            measured_from[result.doc_id] = path
             records.append(result)
     Path(args.out).write_bytes(write_metrics(records))
     return EXIT_DIAGNOSTICS if len(records) < len(paths) else EXIT_OK

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
 from pathlib import Path
 
@@ -128,10 +128,11 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
     return ((line_no, line) for line_no, line in enumerate(lines, 1) if line.strip())
 
 
-def _tab_rows(text: str, width: int, error: type[Exception], where: str = "line"):
-    """``(line_no, *fields)`` of each row, fields stripped and ``#`` comments
-    skipped; a row without ``width`` fields raises ``error("<where> N: ...")``."""
-    for line_no, line in _lines(text):
+def _tab_rows(lines: Iterable[tuple[int, str]], width: int, error: type[Exception], where: str = "line"):
+    """``(line_no, *fields)`` of each numbered line (as ``_lines`` yields
+    them) that is a row, fields stripped and ``#`` comments skipped; a row
+    without ``width`` fields raises ``error("<where> N: ...")``."""
+    for line_no, line in lines:
         if line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
@@ -380,7 +381,25 @@ def read_two_columns(path: str | Path, name: str) -> list[tuple[int, str, str]]:
     without exactly two fields raises ValueError naming ``name`` and the line.
     """
     text = Path(path).read_text(encoding="utf-8")
-    return list(_tab_rows(text, 2, ValueError, f"{name} line"))
+    return list(_tab_rows(_lines(text), 2, ValueError, f"{name} line"))
+
+
+def read_mapping_rows(path: str | Path, name: str, key: str) -> list[tuple[int, str, str]]:
+    """``read_two_columns`` rows of a file mapping each ``key`` to one value.
+
+    The first field is the key. A key that repeats an earlier one ignoring
+    case raises ValueError naming ``name`` and both lines; failing that, so
+    does an empty key.
+    """
+    rows = read_two_columns(path, name)
+    first_on: dict[str, int] = {}
+    for line_no, first, _ in rows:
+        seen = first_on.setdefault(first.lower(), line_no)
+        if seen != line_no:
+            raise ValueError(f"{name} line {line_no}: {key} {first!r} repeated (first on line {seen})")
+    if "" in first_on:
+        raise ValueError(f"{name} line {first_on['']}: empty {key}")
+    return rows
 
 
 def write_correlation(result: CorrelationResult) -> bytes:

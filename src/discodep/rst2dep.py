@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from pathlib import Path
 
-from .formats import read_two_columns
+from .formats import read_mapping_rows
 from .model import (
     DependencyArc,
     DependencyGraph,
@@ -156,9 +156,10 @@ def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> Dependen
 
 def load_label_map(path: str | Path) -> dict[str, str]:
     """Read a two-column relation-to-class file (TAB separated); a row with
-    an empty class raises ValueError."""
+    an empty relation or class, or a relation repeated ignoring case, raises
+    ValueError."""
     label_map = {}
-    for line_no, relation, cls in read_two_columns(path, "label-map"):
+    for line_no, relation, cls in read_mapping_rows(path, "label-map", "relation"):
         if not cls:
             raise ValueError(f"label-map line {line_no}: empty class for relation {relation!r}")
         label_map[relation] = cls

@@ -123,6 +123,15 @@ class TestSegmentationFile:
             parse_segmentation(f"d1\t1\t0\t9\n{line}\n")
         assert str(info.value) == f"line 2: invalid span {span}"
 
+    def test_read_only_wanted_inventories(self, tmp_path):
+        path = tmp_path / "corpus.seg"
+        path.write_text("# comment\nd1\t1\t0\t5\n\nd2\t1\t0\t5\nd2\t1\t5\t9\nd3\t1\t0\tx\n")
+        docs = read_segmentation(path, {"d1", "d2", "d9"})
+        assert sorted(docs) == ["d1", "d2"] and "d2" in docs and "d3" not in docs
+        assert docs["d1"].unit_count == 1 and docs.get("d9") is None
+        with pytest.raises(SegmentationError, match="^d2: EDU indices must be 1..n contiguous, got 1 at position 2$"):
+            docs.get("d2")
+
     def test_comments_and_blanks_skipped(self):
         docs = parse_segmentation("# comment\n\ndoc\t1\t0\t5\n")
         assert docs["doc"].unit_count == 1

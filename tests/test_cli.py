@@ -1,12 +1,21 @@
 import dataclasses
+import importlib.util
 import shutil
 import threading
 from pathlib import Path
 
 import pytest
 
-from discodep import hirao_convert, read_dep, read_metrics, validate_graph, write_dep
+import discodep.align as align
+import discodep.cli as cli
+import discodep.pdtb2dep as pdtb2dep
+from discodep import (
+    Document, Span, hirao_convert, read_dep, read_metrics, read_segmentation, validate_graph, write_dep,
+)
+from discodep.align import SegmentationError, write_segmentation
 from discodep.cli import main
+
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def run(*argv):
@@ -117,6 +126,67 @@ class TestConvertPdtb:
             "[doc-failed] multi: FormatError: conll cannot represent unit 1 with multiple heads"
         )
         assert all("wsj_0618" in line for line in lines[1:])
+
+    def test_defective_unwanted_inventory_is_not_read(self, tmp_path, pdtb_corpus, seg_file):
+        seg = tmp_path / "corpus.seg"
+        seg.write_text(seg_file.read_text() + "d2\t1\t0\t10\nd2\t2\t5\t20\n")
+        with pytest.raises(SegmentationError, match="^d2: EDU 2 overlaps or precedes EDU 1$"):
+            read_segmentation(seg)
+        out = tmp_path / "out"
+        assert run("convert-pdtb", "--input", pdtb_corpus, "--edus", seg, "--out", out) == 0
+        assert read_dep((out / "wsj_0618.conll").read_bytes(), "conll").doc_id == "wsj_0618"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param("d2\t1\t0\t10\nd2\t2\t5\t20\n", id="overlap"),
+            pytest.param("d2\t1\t0\t10\nd2\t3\t10\t20\n", id="index-gap"),
+            pytest.param("d2\t1\t0\t10\nd2\t2\tten\t20\n", id="int"),
+            pytest.param("d2\t1\t0\t10\nd2\t2\t20\t10\n", id="span"),
+            pytest.param("d2\t1\t0\t10\nd2\t2\t10\n", id="field-count"),
+        ],
+    )
+    def test_defective_wanted_inventory_fails_alone(self, tmp_path, pdtb_corpus, seg_file, rows):
+        shutil.copy(pdtb_corpus / "wsj_0618.pdtb", pdtb_corpus / "d2.pdtb")
+        seg = tmp_path / "corpus.seg"
+        seg.write_text(seg_file.read_text() + rows)
+        with pytest.raises(SegmentationError) as eager:
+            read_segmentation(seg)
+        out = tmp_path / "out"
+        assert run("convert-pdtb", "--input", pdtb_corpus, "--edus", seg, "--out", out) == 1
+        assert (out / "wsj_0618.conll").exists()
+        assert not (out / "d2.conll").exists()
+        failed = [line for line in (out / "diagnostics.txt").read_text().splitlines() if "doc-failed" in line]
+        assert failed == [f"[doc-failed] d2: SegmentationError: {eager.value}"]
+
+    @pytest.mark.parametrize("line", ["wsj_0618 18 700 710", "d2 1 0 10"], ids=["wanted", "unwanted"])
+    def test_line_without_tab_is_usage_error(self, tmp_path, pdtb_corpus, seg_file, capsys, line):
+        text = seg_file.read_text()
+        seg = tmp_path / "corpus.seg"
+        seg.write_text(f"# a comment without a tab\n{text}{line}\n")
+        line_no = text.count("\n") + 2
+        out = tmp_path / "out"
+        assert run("convert-pdtb", "--input", pdtb_corpus, "--edus", seg, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line_no}: expected 4 tab-separated fields, got 1\n"
+        )
+        assert not out.exists()
+
+    def test_only_the_converted_inventories_are_built(self, tmp_path, pdtb_corpus, seg_file, monkeypatch):
+        fillers = [Document(f"d{k:03d}", ((1, Span(0, 5)), (2, Span(5, 9)))) for k in range(499)]
+        seg = tmp_path / "corpus.seg"
+        seg.write_text(seg_file.read_text() + write_segmentation(fillers))
+        built = []
+
+        def counting_document(*args, **kwargs):
+            built.append(args[0])
+            return Document(*args, **kwargs)
+
+        monkeypatch.setattr(align, "Document", counting_document)
+        out = tmp_path / "out"
+        assert run("convert-pdtb", "--input", pdtb_corpus, "--edus", seg, "--out", out) == 0
+        assert built == ["wsj_0618"]
+        assert len(read_segmentation(seg)) == 500
 
     def test_missing_input_is_usage_error(self, tmp_path, seg_file):
         assert run(
@@ -318,6 +388,20 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert f"error: {dep / 'bad.json'}: FormatError: arc 0: sense level1 must be a string" in err
 
+    def test_repeated_doc_id_is_measured_once(self, tmp_path, fig1_tree, capsys):
+        dep = tmp_path / "dep"
+        dep.mkdir()
+        graph = dataclasses.replace(hirao_convert(fig1_tree), doc_id="wsj_0001")
+        for fmt in ("conll", "json"):
+            (dep / f"wsj_0001.{fmt}").write_bytes(write_dep(graph, fmt))
+        (dep / "fig1.csv").write_bytes(write_dep(hirao_convert(fig1_tree), "csv"))
+        out = tmp_path / "m.csv"
+        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", out) == 1
+        assert [r.doc_id for r in read_metrics(out.read_bytes())] == ["fig1", "wsj_0001"]
+        assert capsys.readouterr().err == (
+            f"error: {dep / 'wsj_0001.json'}: doc_id 'wsj_0001' already measured from {dep / 'wsj_0001.conll'}\n"
+        )
+
     def test_empty_dep_file_gives_empty_cells(self, tmp_path):
         dep = tmp_path / "empty.conll"
         dep.write_text("# doc_id = empty\n# flavor = LocalForest\n")
@@ -344,15 +428,10 @@ class TestCorrelate:
         right.write_text("doc_id,n_units,n_arcs,mdd,sd\nz,5,4,1.0,\n")
         assert run("correlate", "--left", left, "--right", right, "--out", tmp_path / "c.csv") == 2
 
-    def test_repeated_doc_id_is_usage_error(self, tmp_path, fig1_tree, capsys):
-        # metrics writes one row per file, so wsj_0001.conll and wsj_0001.json give two
-        dep = tmp_path / "dep"
-        dep.mkdir()
-        graph = dataclasses.replace(hirao_convert(fig1_tree), doc_id="wsj_0001")
-        for fmt in ("conll", "json"):
-            (dep / f"wsj_0001.{fmt}").write_bytes(write_dep(graph, fmt))
+    def test_repeated_doc_id_is_usage_error(self, tmp_path, capsys):
+        # metrics measures a doc_id once, but a metrics file may come from elsewhere
         metrics = tmp_path / "m.csv"
-        assert run("metrics", "--input", dep, "--mode", "rooted", "--out", metrics) == 0
+        metrics.write_text("doc_id,n_units,n_arcs,mdd,sd\nwsj_0001,5,4,1.0,0.5\nwsj_0001,5,4,2.0,0.5\n")
         other = tmp_path / "r.csv"
         other.write_text("doc_id,n_units,n_arcs,mdd,sd\nwsj_0001,5,4,1.0,0.5\n")
         out = tmp_path / "c.csv"
@@ -559,3 +638,12 @@ def test_split_rejects_negative_sizes(tmp_path, capsys, sizes):
     ) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_traced_names_exist():
+    # the benchmark's traced run swaps these names for timed wrappers
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [name for name in tracing.CLI_FUNCTIONS if not hasattr(cli, name)] == []
+    assert callable(pdtb2dep.resolve_span_set)

@@ -207,6 +207,16 @@ class TestConvertPdtb:
         with pytest.raises(ValueError, match="head-rules line 1: unknown rule 'upside-down'"):
             load_head_rules(path)
 
+    def test_head_rules_file_refuses_a_repeated_class(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("purpose\tmarked-dependent\ncondition\tmarked-head\nCondition\tmarked-dependent\n")
+        with pytest.raises(ValueError) as info:
+            load_head_rules(path)
+        assert str(info.value) == "head-rules line 3: class 'Condition' repeated (first on line 2)"
+        # overriding a default is not a repeat
+        path.write_text("purpose\tmarked-dependent\n")
+        assert load_head_rules(path)["purpose"] == MARKED_IS_DEPENDENT
+
 
 def _random_single_unit_relations(rng, doc):
     relations = []

@@ -248,3 +248,21 @@ def test_load_label_map(tmp_path):
     path.write_text("elaboration\tELABORATION\npreparation\t \n")
     with pytest.raises(ValueError, match="^label-map line 2: empty class for relation 'preparation'$"):
         load_label_map(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\tCAUSE\nresult\tA\nresult\tB\n", "label-map line 3: relation 'result' repeated (first on line 2)"),
+        ("Result\tA\n# comment\nresult\tA\n", "label-map line 3: relation 'result' repeated (first on line 1)"),
+        ("result\tA\n \tCAUSE\n", "label-map line 2: empty relation"),
+    ],
+    ids=["repeated", "repeated-ignoring-case", "empty"],
+)
+def test_load_label_map_refuses_repeated_or_empty_relation(tmp_path, text, message):
+    # apply_label_map looks relations up ignoring case, so Result and result collide
+    path = tmp_path / "map.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_label_map(path)
+    assert str(info.value) == message
