@@ -3,6 +3,11 @@
 Every command is deterministic given its flags and inputs: documents are
 processed one at a time in path order and diagnostics are written sorted,
 and ``--workers`` selects nothing, so it never changes output bytes.
+
+In ``convert-*``, a document whose conversion or serialization raises is
+that document's ``doc-failed`` diagnostic, and the batch goes on; failing
+to write an output file is an I/O error (exit 2). The diagnostics logged
+at INFO are the lines of ``diagnostics.txt``, in the same order.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ EXIT_USAGE = 2
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("DISCODEP_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
+    # getLevelName gives an int only for a level name; anything else is WARNING
+    level = logging.getLevelName(os.environ.get("DISCODEP_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING, stream=sys.stderr)
 
 
 def _collect(path: Path, extensions: tuple[str, ...]) -> list[Path]:
@@ -53,52 +59,39 @@ def _collect(path: Path, extensions: tuple[str, ...]) -> list[Path]:
     raise FileNotFoundError(f"input path does not exist: {path}")
 
 
-def _each(fn, items):
-    """``(item, fn(item))`` for each item in order, one at a time; an item
-    whose call raises pairs with the exception instead, so one document
-    never aborts a batch."""
-    for item in items:
-        try:
-            result = fn(item)
-        except Exception as err:
-            result = err
-        yield item, result
-
-
 def _failure(err: Exception) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _write_report(out_dir: Path, diagnostics: list[Diagnostic]) -> None:
-    ordered = sorted(
-        diagnostics, key=lambda d: (d.doc_id or "", d.line_no or 0, d.code, d.message)
-    )
-    body = "".join(str(d) + "\n" for d in ordered)
-    (out_dir / "diagnostics.txt").write_text(body, encoding="utf-8")
-
-
 def _convert_all(args, one, files: list[Path]) -> int:
-    """Convert each file with ``one``, writing its payload, then all diagnostics.
+    """Convert each file with ``one``, write its graph, then all diagnostics.
 
-    A document whose conversion raised gets a ``doc-failed`` diagnostic
-    and makes the run exit 1; the other documents are still written.
+    ``one`` returns ``(graph, diagnostics)``, with graph ``None`` for a
+    skipped document. A document whose conversion or serialization raised
+    gets a ``doc-failed`` diagnostic in place of its own and makes the run
+    exit 1; the other documents are still written. Failing to write a file
+    is an I/O error, not a document's failure.
     """
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics: list[Diagnostic] = []
     failed = False
-    for path, result in _each(one, files):
-        if isinstance(result, Exception):
+    for path in files:
+        try:
+            graph, diags = one(path)
+            payload = None if graph is None else write_dep(graph, args.format)
+        except Exception as err:
             failed = True
-            diagnostics.append(Diagnostic("doc-failed", _failure(result), doc_id=path.stem))
+            diagnostics.append(Diagnostic("doc-failed", _failure(err), doc_id=path.stem))
             continue
-        payload, diags = result
         diagnostics.extend(diags)
         if payload is not None:
             (out_dir / f"{path.stem}.{args.format}").write_bytes(payload)
-    _write_report(out_dir, diagnostics)
-    for diag in diagnostics:
-        log.info("%s", diag)
+    diagnostics.sort(key=lambda d: (d.doc_id or "", d.line_no or 0, d.code, d.message))
+    lines = [str(d) for d in diagnostics]
+    (out_dir / "diagnostics.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for line in lines:
+        log.info("%s", line)
     if failed or (diagnostics and args.strict):
         return EXIT_DIAGNOSTICS
     return EXIT_OK
@@ -114,7 +107,7 @@ def cmd_convert_pdtb(args) -> int:
 
     def one(path: Path):
         doc_id = path.stem
-        relations, diags = parse_relation_file(path, columns, strict=False)
+        relations, diags = parse_relation_file(path, columns)
         doc = documents.get(doc_id)
         if doc is None:
             diags.append(
@@ -129,7 +122,7 @@ def cmd_convert_pdtb(args) -> int:
             doc, relations, theta=args.theta, head_rules=head_rules
         )
         diags.extend(conv_diags)
-        return write_dep(graph, args.format), diags
+        return graph, diags
 
     return _convert_all(args, one, files)
 
@@ -140,17 +133,14 @@ def cmd_convert_rst(args) -> int:
     files = _collect(Path(args.input), ("dis",))
 
     def one(path: Path):
-        doc_id = path.stem
-        diags: list[Diagnostic] = []
         try:
             tree = parse_dis_file(path)
         except DisParseError as err:
-            diags.append(Diagnostic("dis-parse-error", str(err), doc_id=doc_id))
-            return None, diags
+            return None, [Diagnostic("dis-parse-error", str(err), doc_id=path.stem)]
         graph = convert(tree)
         if label_map:
             graph = apply_label_map(graph, label_map)
-        return write_dep(graph, args.format), diags
+        return graph, []
 
     return _convert_all(args, one, files)
 
@@ -170,22 +160,20 @@ def cmd_metrics(args) -> int:
     file, or one whose doc_id an earlier file already gave, is an ``error:``
     line on stderr and makes the run exit 1."""
     paths = _collect(Path(args.input), FORMATS)
-
-    def one(path: Path):
-        graph = _read_dep_file(path)
-        return metrics_record(graph, args.mode)
-
     records = []
     measured_from: dict[str, Path] = {}
-    for path, result in _each(one, paths):
-        if isinstance(result, Exception):
-            print(f"error: {path}: {_failure(result)}", file=sys.stderr)
-        elif result.doc_id in measured_from:
-            first = measured_from[result.doc_id]
-            print(f"error: {path}: doc_id {result.doc_id!r} already measured from {first}", file=sys.stderr)
+    for path in paths:
+        try:
+            record = metrics_record(_read_dep_file(path), args.mode)
+        except Exception as err:
+            print(f"error: {path}: {_failure(err)}", file=sys.stderr)
+            continue
+        if record.doc_id in measured_from:
+            first = measured_from[record.doc_id]
+            print(f"error: {path}: doc_id {record.doc_id!r} already measured from {first}", file=sys.stderr)
         else:
-            measured_from[result.doc_id] = path
-            records.append(result)
+            measured_from[record.doc_id] = path
+            records.append(record)
     Path(args.out).write_bytes(write_metrics(records))
     return EXIT_DIAGNOSTICS if len(records) < len(paths) else EXIT_OK
 

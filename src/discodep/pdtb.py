@@ -28,13 +28,6 @@ class PdtbParseError(DiscodepError):
         super().__init__(message)
         self.line_no = line_no
 
-    @property
-    def code(self) -> str:
-        return type(self).__name__
-
-    def to_diagnostic(self, doc_id: str | None = None) -> Diagnostic:
-        return Diagnostic(self.code, str(self), doc_id=doc_id, line_no=self.line_no)
-
 
 class MalformedSpan(PdtbParseError):
     pass
@@ -196,12 +189,8 @@ def parse_relation_text(
         except (PdtbParseError, ValueError) as err:
             if strict:
                 raise
-            if isinstance(err, PdtbParseError):
-                diagnostics.append(err.to_diagnostic(doc_id))
-            else:
-                diagnostics.append(
-                    Diagnostic("InvalidRelation", str(err), doc_id=doc_id, line_no=line_no)
-                )
+            code = type(err).__name__ if isinstance(err, PdtbParseError) else "InvalidRelation"
+            diagnostics.append(Diagnostic(code, str(err), doc_id=doc_id, line_no=line_no))
     return relations, diagnostics
 
 

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib.util
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -10,16 +13,27 @@ import discodep.align as align
 import discodep.cli as cli
 import discodep.pdtb2dep as pdtb2dep
 from discodep import (
-    Document, Span, hirao_convert, read_dep, read_metrics, read_segmentation, validate_graph, write_dep,
+    __version__, Document, Span, hirao_convert, read_dep, read_metrics, read_segmentation, validate_graph, write_dep,
 )
 from discodep.align import SegmentationError, write_segmentation
 from discodep.cli import main
 
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv, log_level):
+    """Run the CLI in a fresh interpreter, whose root logger has no handlers yet."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, DISCODEP_LOG=log_level, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "discodep.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, check=False,
+    )
 
 
 NON_STRING_LEVEL1 = '{"arcs": [{"dependent": 1, "head": 2, "sense": {"level1": 5}}]}'
@@ -327,6 +341,13 @@ class TestConvertRst:
             "error: label-map line 2: empty class for relation 'preparation'\n"
         )
         assert not out.exists()
+
+    def test_failed_output_write_is_io_error(self, tmp_path, fixtures_dir, capsys):
+        out = tmp_path / "out"
+        (out / "fig1.conll").mkdir(parents=True)
+        assert run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", out) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'fig1.conll'}'\n"
+        assert not (out / "diagnostics.txt").exists()
 
     def test_workers_run_on_calling_thread(self, tmp_path, fixtures_dir, monkeypatch):
         corpus = tmp_path / "rst"
@@ -647,3 +668,58 @@ def test_traced_names_exist():
     spec.loader.exec_module(tracing)
     assert [name for name in tracing.CLI_FUNCTIONS if not hasattr(cli, name)] == []
     assert callable(pdtb2dep.resolve_span_set)
+
+
+def test_write_dep_runs_once_per_converted_document(tmp_path, fixtures_dir, seg_file, monkeypatch):
+    calls = []
+
+    def recording(graph, fmt):
+        calls.append((graph.doc_id, fmt))
+        return write_dep(graph, fmt)
+
+    monkeypatch.setattr("discodep.cli.write_dep", recording)
+    pdtb = tmp_path / "pdtb"
+    pdtb.mkdir()
+    for doc_id in ("wsj_0618", "wsj_9999"):  # wsj_9999 has no EDU inventory
+        shutil.copy(fixtures_dir / "wsj_0618.pdtb", pdtb / f"{doc_id}.pdtb")
+    assert run("convert-pdtb", "--input", pdtb, "--edus", seg_file, "--out", tmp_path / "dep", "--format", "csv") == 0
+    assert "missing-segmentation" in (tmp_path / "dep" / "diagnostics.txt").read_text()
+    assert calls == [("wsj_0618", "csv")]
+
+    calls.clear()
+    rst = tmp_path / "rst"
+    rst.mkdir()
+    shutil.copy(fixtures_dir / "fig1.dis", rst / "fig1.dis")
+    (rst / "bad.dis").write_text("( Root ( Nucleus (leaf x) ) )\n")
+    assert run("convert-rst", "--input", rst, "--out", tmp_path / "tree", "--format", "json") == 0
+    assert "dis-parse-error" in (tmp_path / "tree" / "diagnostics.txt").read_text()
+    assert calls == [("fig1", "json")]
+
+
+@pytest.mark.parametrize("value", ["basic_format", "BASIC_FORMAT", "Basic_Format", "nonsense"])
+def test_log_setting_that_is_no_level_name_falls_back_to_warning(tmp_path, fixtures_dir, value):
+    result = run_process("--version", log_level=value)
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"discodep {__version__}\n", "")
+    # a diagnostic is logged at INFO, so WARNING keeps stderr empty
+    result = run_process("convert-pdtb", "--input", fixtures_dir / "wsj_0618.pdtb",
+                         "--edus", fixtures_dir / "wsj_0618.seg", "--out", tmp_path, "--theta", 1,
+                         log_level=value)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (tmp_path / "diagnostics.txt").read_text() != ""
+
+
+def test_info_log_lines_are_the_diagnostics_lines_in_order(tmp_path, fixtures_dir):
+    pdtb = tmp_path / "pdtb"
+    pdtb.mkdir()
+    # the parser's diagnostic for line 13 is collected before the conversion's
+    # diagnostics for lines 1-11, so collection order is not the file's order
+    text = (fixtures_dir / "wsj_0618.pdtb").read_text() + "Explicit|1..2|bogus\n"
+    for doc_id in ("wsj_0618", "wsj_9999"):
+        (pdtb / f"{doc_id}.pdtb").write_text(text)
+    out = tmp_path / "out"
+    result = run_process("convert-pdtb", "--input", pdtb, "--edus", fixtures_dir / "wsj_0618.seg",
+                         "--out", out, "--theta", 1, log_level="info")
+    assert result.returncode == 0
+    report = (out / "diagnostics.txt").read_text().splitlines()
+    assert len(report) == 6
+    assert result.stderr.splitlines() == [f"INFO:discodep:{line}" for line in report]
