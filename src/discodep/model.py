@@ -33,7 +33,9 @@ class Diagnostic:
         if self.line_no is not None:
             parts.append(f"line {self.line_no}")
         loc = ":".join(parts)
-        return f"[{self.code}] {loc + ': ' if loc else ''}{self.message}"
+        # one diagnostic per line: a line break in a doc_id or message is written as \r or \n
+        line = f"[{self.code}] {loc + ': ' if loc else ''}{self.message}"
+        return line.replace("\r", "\\r").replace("\n", "\\n")
 
 
 @dataclass(frozen=True, order=True)

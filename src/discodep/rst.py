@@ -197,8 +197,23 @@ def _escape(fragment: str) -> str:
     return fragment.replace("\\", "\\\\")
 
 
+def _reads_back(relation: str) -> bool:
+    """Whether ``(rel2par relation)`` parses back to ``relation``."""
+    words = relation.split()
+    return (
+        bool(words)
+        and relation == " ".join(words)
+        and not any("(" in word or ")" in word or word.startswith("_!") for word in words)
+    )
+
+
 def pretty_print(tree: RstTree) -> str:
-    """Serialize a tree back to ".dis" notation; parse_dis round-trips it."""
+    """Serialize a tree back to ".dis" notation; parse_dis round-trips it.
+
+    Raises ValueError for a leaf text holding ``_!`` or a relation that
+    parse_dis would read back differently (empty, parenthesized, with
+    irregular whitespace or a word starting with ``_!``).
+    """
     lines: list[str] = []
     edus: list[int] = []  # leaf indices in the order they are printed
     # (node, label, rel2par, depth, None) opens a node; a closing entry
@@ -207,8 +222,12 @@ def pretty_print(tree: RstTree) -> str:
     while stack:
         node, label, rel2par, depth, opened = stack.pop()
         pad = "  " * depth
+        if rel2par is not None and not _reads_back(rel2par):
+            raise ValueError(f"relation {rel2par!r} would not read back as written")
         rel = "" if rel2par is None else f" (rel2par {rel2par})"
         if isinstance(node, RstLeaf):
+            if node.text is not None and "_!" in node.text:
+                raise ValueError(f"leaf {node.edu_index} text holds _!: {node.text!r}")
             edus.append(node.edu_index)
             text = "" if node.text is None else f" (text _!{_escape(node.text)}_!)"
             lines.append(f"{pad}( {label} (leaf {node.edu_index}){rel}{text} )")
@@ -234,9 +253,9 @@ def edu_inventory_of(tree: RstTree, text: str, doc_id: str | None = None) -> Doc
     edus: list[tuple[int, Span]] = []
     cursor = 0
     for leaf in iter_leaves(tree.root):
-        if leaf.text is None:
+        fragment = (leaf.text or "").strip()
+        if not fragment:
             raise FragmentNotFound(f"leaf {leaf.edu_index} carries no text fragment")
-        fragment = leaf.text.strip()
         start = text.find(fragment, cursor)
         if start < 0:
             raise FragmentNotFound(

@@ -300,6 +300,18 @@ class TestConvertRst:
             assert line.startswith(f"[dis-parse-error] {doc_id}: malformed")
             assert not (out / f"{doc_id}.conll").exists()
 
+    def test_line_break_in_a_diagnostic_stays_on_its_line(self, tmp_path, fixtures_dir):
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / "fig1.dis")
+        (corpus / "bad.dis").write_text("( Root ( Nucleus (leaf _!1\nx_!) ) ( Satellite (leaf 2) ) )\n")
+        out = tmp_path / "out"
+        assert run("convert-rst", "--input", corpus, "--out", out) == 0
+        assert (out / "fig1.conll").exists()
+        assert (out / "diagnostics.txt").read_text() == (
+            "[dis-parse-error] bad: malformed (leaf 1\\nx): expected 1 integer(s)\n"
+        )
+
     def test_unwritable_doc_id_fails_alone(self, tmp_path, fixtures_dir):
         # a doc_id with outer whitespace would read back stripped from a
         # conll comment, so that document alone is refused

@@ -30,7 +30,7 @@ _fragments = st.text(alphabet='ab \\"(),.\n\t', min_size=1, max_size=12).filter(
 
 
 @st.composite
-def rst_trees(draw, max_leaves=60):
+def rst_trees(draw, max_leaves=60, fragments=_fragments, relations=_relations):
     """Random n-ary trees: 2-4 children per node, at least one Nucleus each.
 
     Nodes whose first two children are satellites give satellite-only
@@ -40,7 +40,7 @@ def rst_trees(draw, max_leaves=60):
 
     def build(lo, hi):
         if lo == hi:
-            return RstLeaf(lo, draw(_fragments) if with_text else None)
+            return RstLeaf(lo, draw(fragments) if with_text else None)
         k = draw(st.integers(2, min(4, hi - lo + 1)))
         cuts = draw(st.lists(st.integers(lo + 1, hi), min_size=k - 1, max_size=k - 1, unique=True))
         nuclearity = draw(st.lists(st.sampled_from([N, S]), min_size=k, max_size=k))
@@ -49,7 +49,7 @@ def rst_trees(draw, max_leaves=60):
         bounds = pairwise([lo, *sorted(cuts), hi + 1])
         return RstInternal(
             tuple(
-                RstChild(build(a, b - 1), nuc, draw(_relations))
+                RstChild(build(a, b - 1), nuc, draw(relations))
                 for (a, b), nuc in zip(bounds, nuclearity)
             )
         )
@@ -72,6 +72,29 @@ def test_printer_tokens_and_parser_match_seed(tree):
     assert text == seed_rst.pretty_print(tree)
     assert _tokenize(text) == seed_rst.tokenize(text)
     assert parse_dis(text, "h") == seed_rst.parse_dis(text, "h") == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=rst_trees(max_leaves=4, fragments=st.text(), relations=st.text()))
+def test_printer_refuses_what_the_parser_reads_back_differently(tree):
+    try:
+        text = pretty_print(tree)
+    except ValueError:
+        return
+    assert parse_dis(text, "h") == tree
+
+
+@pytest.mark.parametrize("relation", ["", "same  unit", "a\tb", " x", "a(b", "b)", "a _!b"])
+def test_printer_refuses_a_relation_the_parser_reads_differently(relation):
+    tree = RstTree(RstInternal((RstChild(RstLeaf(1), N, relation), RstChild(RstLeaf(2), S, "x"))))
+    with pytest.raises(ValueError, match="relation"):
+        pretty_print(tree)
+
+
+def test_printer_refuses_a_fragment_holding_the_text_delimiter():
+    tree = RstTree(RstInternal((RstChild(RstLeaf(1, "a_!"), N, "span"), RstChild(RstLeaf(2), S, "x"))))
+    with pytest.raises(ValueError, match="leaf 1"):
+        pretty_print(tree)
 
 
 @given(text=st.text(alphabet="()_! ab\n\t\u00a0\u2003\\"))

@@ -137,3 +137,8 @@ class TestEduInventory:
         tree = parse_dis("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) ) )")
         with pytest.raises(FragmentNotFound):
             edu_inventory_of(tree, "anything", doc_id="d")
+
+    def test_blank_fragment_rejected(self):
+        tree = parse_dis("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text _!   _!) ) )")
+        with pytest.raises(FragmentNotFound, match="leaf 1"):
+            edu_inventory_of(tree, "anything", doc_id="d")
