@@ -220,11 +220,8 @@ class RstTree:
     def __post_init__(self) -> None:
         leaves = self.root.leaf_indices
         if leaves != tuple(range(1, len(leaves) + 1)):
-            raise ValueError(f"leaf indices must be 1..n in order, got {leaves}")
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.root.leaf_indices)
+            raise ValueError(f"leaf indices are {leaves}, expected 1..{len(leaves)}")
+        object.__setattr__(self, "leaf_count", len(leaves))
 
 
 class GraphFlavor(enum.Enum):

@@ -179,13 +179,14 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
         root = children[0][1]
     else:
         root = _close_node(label, attrs, children)
-    leaves = root.leaf_indices
-    if leaves != tuple(range(1, len(leaves) + 1)):
-        raise NonContiguousLeaves(f"leaf indices are {leaves}, expected 1..{len(leaves)}")
+    try:
+        tree = RstTree(root, doc_id=doc_id)
+    except ValueError as err:
+        raise NonContiguousLeaves(str(err)) from None
     span = attrs.get("span")
-    if span is not None and span != (1, len(leaves)):
-        raise NonContiguousLeaves(f"root declares span {span} but tree has {len(leaves)} leaves")
-    return RstTree(root, doc_id=doc_id)
+    if span is not None and span != (1, tree.leaf_count):
+        raise NonContiguousLeaves(f"root declares span {span} but tree has {tree.leaf_count} leaves")
+    return tree
 
 
 def parse_dis_file(path: str | Path) -> RstTree:
@@ -210,9 +211,11 @@ def _reads_back(relation: str) -> bool:
 def pretty_print(tree: RstTree) -> str:
     """Serialize a tree back to ".dis" notation; parse_dis round-trips it.
 
-    Raises ValueError for a leaf text holding ``_!`` or a relation that
+    Raises ValueError for a leaf text holding ``_!``, a relation that
     parse_dis would read back differently (empty, parenthesized, with
-    irregular whitespace or a word starting with ``_!``).
+    irregular whitespace or a word starting with ``_!``), an internal node
+    without a Nucleus child (as ``binarize`` makes of leading satellites),
+    or a root whose only child is a leaf (parse_dis reads the bare leaf).
     """
     lines: list[str] = []
     edus: list[int] = []  # leaf indices in the order they are printed
@@ -240,6 +243,11 @@ def pretty_print(tree: RstTree) -> str:
             )
         else:
             line, first = opened
+            leaves = f"{edus[first]}..{edus[-1]}"
+            if not any(c.nuclearity is Nuclearity.NUCLEUS for c in node.children):
+                raise ValueError(f"node over leaves {leaves} has no Nucleus child")
+            if depth == 0 and len(node.children) == 1 and isinstance(node.children[0].node, RstLeaf):
+                raise ValueError(f"root over leaves {leaves} has a single leaf child")
             lines[line] = f"{pad}( {label} (span {edus[first]} {edus[-1]}){rel}"
             lines.append(f"{pad})")
     return "\n".join(lines) + "\n"

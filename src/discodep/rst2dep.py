@@ -1,10 +1,10 @@
 """Convert RST constituency trees into rooted dependency trees.
 
-Both converters use nuclearity head percolation: an internal node is
-headed by its leftmost Nucleus child. ``hirao_convert`` percolates over
-the tree as-is; ``li_convert`` first binarizes n-ary nodes into a
-left-branching cascade, which changes the attachment of grouped
-satellites and keeps the two variants distinguishable.
+Both converters percolate heads over the parsed tree: an internal node is
+headed by its leftmost Nucleus child. ``hirao_convert`` attaches every
+other child to that head; ``li_convert`` gives the arcs of the
+left-branching binarization without building it, so a satellite between
+the first child and the head child attaches to the first child.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ def _fold(root: RstLeaf | RstInternal, leaf_value: Callable, combine: Callable):
     return values[0]
 
 
-def _head_of(node: RstInternal, child_heads: list[int]) -> int:
-    for child, head in zip(node.children, child_heads):
+def _head_child(children: tuple[RstChild, ...] | list[RstChild]) -> int:
+    """Index of the leftmost Nucleus child, or 0 for a satellite-only group
+    (as binarization makes), so percolation stays total."""
+    for i, child in enumerate(children):
         if child.nuclearity is Nuclearity.NUCLEUS:
-            return head
-    # satellite-only groups arise from binarization; fall back to the
-    # leftmost child so percolation stays total
-    return child_heads[0]
+            return i
+    return 0
 
 
 def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
@@ -71,27 +71,26 @@ def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
         return leaf.edu_index
 
     def node_head(node: RstInternal, child_heads: list[int]) -> int:
-        table[node] = head = _head_of(node, child_heads)
+        table[node] = head = child_heads[_head_child(node.children)]
         return head
 
     _fold(tree.root, leaf_head, node_head)
     return table
 
 
-def hirao_convert(tree: RstTree) -> DependencyGraph:
-    """Head percolation on the tree as annotated.
-
-    Each child headed by another EDU than its parent attaches its head to
-    the parent's head; the root's head takes the root arc.
-    """
+def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
+    """Attach each child but the head child ``h`` to the head child's head,
+    or with ``cascade`` a child ``0 < i < h`` to the first child's head.
+    The root's head takes the root arc."""
     arcs: list[DependencyArc] = []
 
     def attach(node: RstInternal, child_heads: list[int]) -> int:
-        head = _head_of(node, child_heads)
-        for child, child_head in zip(node.children, child_heads):
+        h = _head_child(node.children)
+        for i, (child, child_head) in enumerate(zip(node.children, child_heads)):
+            head = child_heads[0 if cascade and 0 < i < h else h]
             if child_head != head:
                 arcs.append(DependencyArc.make(child_head, head, SenseTag(child.relation)))
-        return head
+        return child_heads[h]
 
     root_head = _fold(tree.root, lambda leaf: leaf.edu_index, attach)
     arcs.append(DependencyArc.make(root_head, ROOT, ROOT_SENSE))
@@ -103,20 +102,18 @@ def hirao_convert(tree: RstTree) -> DependencyGraph:
     )
 
 
+def hirao_convert(tree: RstTree) -> DependencyGraph:
+    """Head percolation on the tree as annotated."""
+    return _percolate(tree, cascade=False)
+
+
 def _binarize_node(node: RstInternal, binarized: list[RstLeaf | RstInternal]) -> RstInternal:
     children = [
         RstChild(b, c.nuclearity, c.relation) for c, b in zip(node.children, binarized)
     ]
     while len(children) > 2:
-        left, right = children[0], children[1]
-        if left.nuclearity is Nuclearity.NUCLEUS:
-            group_nuc, group_rel = Nuclearity.NUCLEUS, left.relation
-        elif right.nuclearity is Nuclearity.NUCLEUS:
-            group_nuc, group_rel = Nuclearity.NUCLEUS, right.relation
-        else:
-            group_nuc, group_rel = Nuclearity.SATELLITE, left.relation
-        grouped = RstChild(RstInternal((left, right)), group_nuc, group_rel)
-        children = [grouped] + children[2:]
+        head = children[_head_child(children[:2])]
+        children[:2] = [RstChild(RstInternal(tuple(children[:2])), head.nuclearity, head.relation)]
     return RstInternal(tuple(children))
 
 
@@ -126,8 +123,9 @@ def binarize(tree: RstTree) -> RstTree:
 
 
 def li_convert(tree: RstTree) -> DependencyGraph:
-    """Binarize first, then percolate; identical to hirao on binary trees."""
-    return hirao_convert(binarize(tree))
+    """Percolation with satellites grouped as the left-branching binarization
+    groups them; the arcs equal ``hirao_convert(binarize(tree))``."""
+    return _percolate(tree, cascade=True)
 
 
 def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> DependencyGraph:

@@ -3,6 +3,8 @@ import pickle
 
 import pytest
 
+import discodep.model
+import discodep.rst2dep
 from discodep import (
     GraphFlavor,
     Nuclearity,
@@ -14,6 +16,7 @@ from discodep import (
     hirao_convert,
     li_convert,
     parse_dis,
+    parse_dis_file,
     tree_heads,
     validate_graph,
 )
@@ -266,3 +269,31 @@ def test_load_label_map_refuses_repeated_or_empty_relation(tmp_path, text, messa
     with pytest.raises(ValueError) as info:
         load_label_map(path)
     assert str(info.value) == message
+
+
+def test_parse_walks_the_leaves_once_and_li_builds_no_second_tree(monkeypatch, fixtures_dir):
+    counts = {"walks": 0, "nodes": 0}
+    iter_leaves, internal = discodep.model.iter_leaves, discodep.rst2dep.RstInternal
+
+    def counting_iter_leaves(node):
+        counts["walks"] += 1
+        return iter_leaves(node)
+
+    def counting_internal(*args):
+        counts["nodes"] += 1
+        return internal(*args)
+
+    monkeypatch.setattr(discodep.model, "iter_leaves", counting_iter_leaves)
+    monkeypatch.setattr(discodep.rst2dep, "RstInternal", counting_internal)
+
+    def cost(convert, arg):
+        counts.update(walks=0, nodes=0)
+        convert(arg)
+        return dict(counts)
+
+    tree = parse_dis_file(fixtures_dir / "fig1.dis")
+    assert cost(parse_dis_file, fixtures_dir / "fig1.dis")["walks"] == 1
+    assert cost(hirao_convert, tree)["walks"] == 0
+    assert cost(li_convert, tree) == {"walks": 0, "nodes": 0}
+    # the counters are live: the binarization li leaves unbuilt costs both
+    assert cost(binarize, tree) == {"walks": 1, "nodes": 10}

@@ -30,22 +30,31 @@ _fragments = st.text(alphabet='ab \\"(),.\n\t', min_size=1, max_size=12).filter(
 
 
 @st.composite
-def rst_trees(draw, max_leaves=60, fragments=_fragments, relations=_relations):
-    """Random n-ary trees: 2-4 children per node, at least one Nucleus each.
+def rst_trees(
+    draw, max_leaves=60, fragments=_fragments, relations=_relations, max_children=4, loose=False
+):
+    """Random n-ary trees: 2 to ``max_children`` children per node, at least
+    one Nucleus each.
 
     Nodes whose first two children are satellites give satellite-only
-    groups once binarized.
+    groups once binarized. ``loose`` also draws single-child nodes (the
+    root included) and satellite-only nodes.
     """
     with_text = draw(st.booleans())
 
-    def build(lo, hi):
+    def build(lo, hi, wrap=loose):
+        if wrap and draw(st.integers(0, 3)) == 0:
+            only = RstChild(build(lo, hi, wrap=False), draw(st.sampled_from([N, S])), draw(relations))
+            return RstInternal((only,))
         if lo == hi:
             return RstLeaf(lo, draw(fragments) if with_text else None)
-        k = draw(st.integers(2, min(4, hi - lo + 1)))
+        k = draw(st.integers(2, min(max_children, hi - lo + 1)))
         cuts = draw(st.lists(st.integers(lo + 1, hi), min_size=k - 1, max_size=k - 1, unique=True))
         nuclearity = draw(st.lists(st.sampled_from([N, S]), min_size=k, max_size=k))
         if N not in nuclearity:
-            nuclearity[draw(st.integers(0, k - 1))] = N
+            at = draw(st.integers(0, k if loose else k - 1))
+            if at < k:  # a loose tree keeps a satellite-only node at k
+                nuclearity[at] = N
         bounds = pairwise([lo, *sorted(cuts), hi + 1])
         return RstInternal(
             tuple(
@@ -74,8 +83,15 @@ def test_printer_tokens_and_parser_match_seed(tree):
     assert parse_dis(text, "h") == seed_rst.parse_dis(text, "h") == tree
 
 
+@settings(max_examples=200, deadline=None)
+@given(tree=rst_trees(max_leaves=40, max_children=7, loose=True))
+def test_li_equals_percolating_the_binarized_tree(tree):
+    # li never builds the binarization; binarize stays its oracle
+    assert li_convert(tree) == hirao_convert(binarize(tree)) == li_convert(binarize(tree))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tree=rst_trees(max_leaves=4, fragments=st.text(), relations=st.text()))
+@given(tree=rst_trees(max_leaves=4, fragments=st.text(), relations=st.text(), loose=True))
 def test_printer_refuses_what_the_parser_reads_back_differently(tree):
     try:
         text = pretty_print(tree)
@@ -89,6 +105,23 @@ def test_printer_refuses_a_relation_the_parser_reads_differently(relation):
     tree = RstTree(RstInternal((RstChild(RstLeaf(1), N, relation), RstChild(RstLeaf(2), S, "x"))))
     with pytest.raises(ValueError, match="relation"):
         pretty_print(tree)
+
+
+# binarize groups the leading satellites of S,S,N into a satellite-only node
+_SSN = RstTree(RstInternal(tuple(RstChild(RstLeaf(i), nuc, "x") for i, nuc in enumerate((S, S, N), 1))))
+
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        (binarize(_SSN).root, "^node over leaves 1..2 has no Nucleus child$"),
+        (RstInternal((RstChild(RstLeaf(1), N, "span"),)), "^root over leaves 1..1 has a single leaf child$"),
+    ],
+    ids=["satellite-only", "root-over-one-leaf"],
+)
+def test_printer_refuses_a_node_the_parser_reads_back_differently(root, message):
+    with pytest.raises(ValueError, match=message):
+        pretty_print(RstTree(root))
 
 
 def test_printer_refuses_a_fragment_holding_the_text_delimiter():
