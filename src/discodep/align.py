@@ -6,7 +6,7 @@ from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from pathlib import Path
 
-from .formats import _lines, _tab_rows
+from .formats import _lines, _read_text, _tab_rows
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
@@ -168,7 +168,7 @@ def read_segmentation(
     unnoticed. A non-comment line with no tab names no document, so it
     raises at once: otherwise a mangled line could shorten an inventory.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if doc_ids is None:
         return parse_segmentation(text)
     wanted: dict[str, list[tuple[int, str]]] = {}

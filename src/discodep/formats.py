@@ -3,8 +3,10 @@ line splitter, tab-row reader and arc-row check that every reader shares.
 
 All writers emit UTF-8 bytes with "\n" line endings, a trailing newline,
 and 6-decimal fixed-point reals, so identical inputs always produce
-identical bytes. ``_CODECS``, at the end, is the one list of dependency
-formats; a dependency file's extension is its format name.
+identical bytes. Every reader decodes its input as UTF-8 and skips a
+leading byte-order mark (``_decode``, ``_read_text``). ``_CODECS``, at the
+end, is the one list of dependency formats; a dependency file's extension
+is its format name.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .model import (
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
 _EMPTY = ("", "_")  # conll cells of an absent sense level
 _LEVEL_TYPES = (str, (str, type(None)), (str, type(None)))  # of sense level1, level2, level3
+_INPUT_ENCODING = "utf-8-sig"  # UTF-8 with a leading byte-order mark skipped
 _LINE_BREAKS = frozenset("\r\n")
 # a csv cell holding one of these is not read back as written: it ends the
 # row, and csv.reader before Python 3.11 refuses a NUL
@@ -53,13 +56,22 @@ def _codec(fmt: str):
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
 
 
+def _decode(data: bytes | str) -> str:
+    return data.decode(_INPUT_ENCODING) if isinstance(data, bytes) else data
+
+
+def _read_text(path: str | Path) -> str:
+    """The text of the file at ``path`` as ``_decode`` reads it, line ends
+    translated as in any file opened in text mode."""
+    return Path(path).read_text(encoding=_INPUT_ENCODING)
+
+
 def write_dep(graph: DependencyGraph, fmt: str) -> bytes:
     return _codec(fmt)[0](graph)
 
 
 def read_dep(data: bytes | str, fmt: str) -> DependencyGraph:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return _codec(fmt)[1](text)
+    return _codec(fmt)[1](_decode(data))
 
 
 def _sense_fields(sense: SenseTag) -> tuple[str, str, str]:
@@ -185,7 +197,7 @@ def _graph(meta: dict, rows, unit_count: int | None, where: str = "line", to_int
                 i = list(map(isinstance, levels, _LEVEL_TYPES)).index(False)
                 raise ValueError(f"sense level{i + 1} must be a string, got {levels[i]!r}")
             dependent, head = _number(dependent, to_int, "dependent id"), _number(head, to_int, "head id")
-            arc = DependencyArc.make(dependent, head, SenseTag(*levels))
+            arc = DependencyArc(dependent, head, SenseTag(*levels))
             if distance is not None and _number(distance, to_int, "distance") != arc.distance:
                 raise ValueError(f"distance {to_int(distance)} disagrees with |{dependent} - {head}|")
         except ValueError as err:
@@ -362,7 +374,7 @@ def write_metrics(records: list[MetricsRecord]) -> bytes:
 
 def read_metrics(data: bytes | str) -> list[MetricsRecord]:
     """Records of a metrics csv. No line is a comment: a doc_id may start with ``#``."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _decode(data)
     records = []
     for line_no, (doc_id, units, arcs, mdd, sd) in _csv_rows(list(_lines(text)), METRICS_HEADER):
         at = f"line {line_no}: "
@@ -380,7 +392,7 @@ def read_two_columns(path: str | Path, name: str) -> list[tuple[int, str, str]]:
     Fields are stripped; blank lines and ``#`` comments are skipped. A row
     without exactly two fields raises ValueError naming ``name`` and the line.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     return list(_tab_rows(_lines(text), 2, ValueError, f"{name} line"))
 
 

@@ -231,30 +231,24 @@ class GraphFlavor(enum.Enum):
 
 @dataclass(frozen=True)
 class DependencyArc:
-    """A labeled arc from a dependent EDU to its head.
+    """A labeled arc from a dependent EDU to its head:
+    ``DependencyArc(dependent, head, sense)``.
 
-    ``head`` is 0 for a root arc; ``distance`` is |dependent - head| in
-    EDU positions and absent on root arcs.
+    ``head`` is 0 for a root arc. ``distance`` is derived, never stored:
+    |dependent - head| in EDU positions, and None on a root arc.
     """
 
     dependent: int
     head: int
     sense: SenseTag
-    distance: int | None = None
 
     def __post_init__(self) -> None:
         if self.dependent == self.head:
             raise ValueError(f"self-loop arc on unit {self.dependent}")
-        if self.head != ROOT and self.distance != abs(self.dependent - self.head):
-            raise ValueError(
-                f"arc {self.dependent}->{self.head}: distance must be "
-                f"{abs(self.dependent - self.head)}, got {self.distance}"
-            )
 
-    @classmethod
-    def make(cls, dependent: int, head: int, sense: SenseTag) -> DependencyArc:
-        distance = None if head == ROOT else abs(dependent - head)
-        return cls(dependent, head, sense, distance)
+    @property
+    def distance(self) -> int | None:
+        return None if self.head == ROOT else abs(self.dependent - self.head)
 
     @property
     def is_root(self) -> bool:
@@ -278,7 +272,7 @@ class DependencyGraph:
 
     def distances(self) -> list[int]:
         """Finite dependency distances, root arcs excluded."""
-        return [a.distance for a in self.arcs if a.distance is not None]
+        return [a.distance for a in self.arcs if not a.is_root]
 
 
 def _by_dependent(arcs: tuple[DependencyArc, ...]) -> dict[int, list[DependencyArc]]:

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formats import _lines
+from .formats import _lines, _read_text
 from .model import (
     Diagnostic,
     DiscodepError,
@@ -177,7 +177,6 @@ def parse_relation_line(
 def parse_relation_text(
     text: str,
     columns: ColumnMap = DEFAULT_COLUMNS,
-    strict: bool = False,
     doc_id: str | None = None,
 ) -> tuple[list[PdtbRelation], list[Diagnostic]]:
     """Parse relation records from text, one per line; blank lines ignored."""
@@ -187,8 +186,6 @@ def parse_relation_text(
         try:
             relations.append(parse_relation_line(line, columns, line_no))
         except (PdtbParseError, ValueError) as err:
-            if strict:
-                raise
             code = type(err).__name__ if isinstance(err, PdtbParseError) else "InvalidRelation"
             diagnostics.append(Diagnostic(code, str(err), doc_id=doc_id, line_no=line_no))
     return relations, diagnostics
@@ -197,9 +194,8 @@ def parse_relation_text(
 def parse_relation_file(
     path: str | Path,
     columns: ColumnMap = DEFAULT_COLUMNS,
-    strict: bool = False,
 ) -> tuple[list[PdtbRelation], list[Diagnostic]]:
     """Parse a relation file; records are returned in file order."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    return parse_relation_text(text, columns, strict=strict, doc_id=path.stem)
+    text = _read_text(path)
+    return parse_relation_text(text, columns, doc_id=path.stem)

@@ -203,7 +203,7 @@ def convert_pdtb(
         heads.setdefault(dependent, []).append(head)
         if flip_directions:
             dependent, head = head, dependent
-        arcs.append(DependencyArc.make(dependent, head, tag))
+        arcs.append(DependencyArc(dependent, head, tag))
 
     graph = DependencyGraph(
         doc_id=doc.doc_id,

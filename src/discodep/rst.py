@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from .formats import _read_text
 from .model import (
     DiscodepError,
     Document,
@@ -191,7 +192,7 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
 
 def parse_dis_file(path: str | Path) -> RstTree:
     path = Path(path)
-    return parse_dis(path.read_text(encoding="utf-8"), doc_id=path.stem)
+    return parse_dis(_read_text(path), doc_id=path.stem)
 
 
 def _escape(fragment: str) -> str:

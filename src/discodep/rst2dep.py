@@ -89,11 +89,11 @@ def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
         for i, (child, child_head) in enumerate(zip(node.children, child_heads)):
             head = child_heads[0 if cascade and 0 < i < h else h]
             if child_head != head:
-                arcs.append(DependencyArc.make(child_head, head, SenseTag(child.relation)))
+                arcs.append(DependencyArc(child_head, head, SenseTag(child.relation)))
         return child_heads[h]
 
     root_head = _fold(tree.root, lambda leaf: leaf.edu_index, attach)
-    arcs.append(DependencyArc.make(root_head, ROOT, ROOT_SENSE))
+    arcs.append(DependencyArc(root_head, ROOT, ROOT_SENSE))
     return DependencyGraph(
         doc_id=tree.doc_id,
         unit_count=tree.leaf_count,
@@ -135,21 +135,13 @@ def apply_label_map(graph: DependencyGraph, mapping: dict[str, str]) -> Dependen
     Root arcs are untouched.
     """
     lowered = {k.lower(): v for k, v in mapping.items()}
-    arcs = []
-    for arc in graph.arcs:
-        if arc.is_root:
-            arcs.append(arc)
-            continue
-        cls = lowered.get(arc.sense.level1.lower())
-        arcs.append(
-            DependencyArc(
-                arc.dependent,
-                arc.head,
-                SenseTag(arc.sense.level1, cls, arc.sense.level3),
-                arc.distance,
-            )
+    arcs = tuple(
+        arc if arc.is_root else DependencyArc(
+            arc.dependent, arc.head, SenseTag(arc.sense.level1, lowered.get(arc.sense.level1.lower()), arc.sense.level3)
         )
-    return DependencyGraph(graph.doc_id, graph.unit_count, tuple(arcs), graph.flavor)
+        for arc in graph.arcs
+    )
+    return DependencyGraph(graph.doc_id, graph.unit_count, arcs, graph.flavor)
 
 
 def load_label_map(path: str | Path) -> dict[str, str]:

@@ -110,7 +110,7 @@ def _read_conll(text: str) -> DependencyGraph:
             fields[2], "" if fields[3] == "_" else fields[3], "" if fields[4] == "_" else fields[4]
         )
         try:
-            arc = DependencyArc.make(unit, head, sense)
+            arc = DependencyArc(unit, head, sense)
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
         if fields[5] != "_":
@@ -151,7 +151,7 @@ def _read_csv(text: str) -> DependencyGraph:
     for line_no, fields in _csv_rows(body, _CSV_HEADER):
         try:
             dependent, head = int(fields[0]), int(fields[1])
-            arc = DependencyArc.make(dependent, head, _sense_from_fields(*fields[3:]))
+            arc = DependencyArc(dependent, head, _sense_from_fields(*fields[3:]))
         except ValueError as err:
             raise FormatError(f"line {line_no}: {err}") from None
         if fields[2] != "":
@@ -185,7 +185,7 @@ def _read_json(text: str) -> DependencyGraph:
                 value = getattr(sense, key)
                 if not isinstance(value, str) and (key == "level1" or value is not None):
                     raise FormatError(f"arc {i}: sense {key} must be a string, got {value!r}")
-            arc = DependencyArc.make(int(entry["dependent"]), int(entry["head"]), sense)
+            arc = DependencyArc(int(entry["dependent"]), int(entry["head"]), sense)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as err:
             raise FormatError(f"arc {i}: {err}") from None
         declared = entry.get("distance")

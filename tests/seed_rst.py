@@ -261,10 +261,10 @@ def percolate(tree: RstTree) -> DependencyGraph:
         while node in parent_of and heads[parent_of[node][0]] == edu:
             node = parent_of[node][0]
         if node not in parent_of:
-            arcs.append(DependencyArc.make(edu, ROOT, ROOT_SENSE))
+            arcs.append(DependencyArc(edu, ROOT, ROOT_SENSE))
         else:
             parent, relation = parent_of[node][0], parent_of[node][1]
-            arcs.append(DependencyArc.make(edu, heads[parent], SenseTag(relation)))
+            arcs.append(DependencyArc(edu, heads[parent], SenseTag(relation)))
     return DependencyGraph(
         doc_id=tree.doc_id,
         unit_count=tree.leaf_count,

@@ -130,7 +130,7 @@ def test_criterion_3_fig1_rooted_fixture(fixtures_dir):
 def test_criterion_4_sample_sd_disambiguation():
     distances = [2, 1, 1, 1, 3, 4, 5, 6, 7, 1]
     arcs = tuple(
-        DependencyArc.make(i + 1, i + 1 + d, SenseTag("x")) for i, d in enumerate(distances)
+        DependencyArc(i + 1, i + 1 + d, SenseTag("x")) for i, d in enumerate(distances)
     )
     graph = DependencyGraph("g", 17, arcs, GraphFlavor.LOCAL_FOREST)
     sd = sd_distances(graph)
@@ -243,7 +243,7 @@ def test_criterion_5_property_suite(fixtures_dir):
         k = rng.randint(2, 30)
         arcs = []
         for dep in range(1, k + 1):
-            arcs.append(DependencyArc.make(dep, dep + rng.randint(1, 9), SenseTag("x")))
+            arcs.append(DependencyArc(dep, dep + rng.randint(1, 9), SenseTag("x")))
         g = DependencyGraph("o", k + 10, tuple(arcs), GraphFlavor.LOCAL_FOREST)
         distances = [abs(a.dependent - a.head) for a in g.arcs]
         naive_mean = sum(distances) / len(distances)

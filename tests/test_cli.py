@@ -735,3 +735,58 @@ def test_info_log_lines_are_the_diagnostics_lines_in_order(tmp_path, fixtures_di
     report = (out / "diagnostics.txt").read_text().splitlines()
     assert len(report) == 6
     assert result.stderr.splitlines() == [f"INFO:discodep:{line}" for line in report]
+
+
+BOM = b"\xef\xbb\xbf"
+CONVERT_PDTB = ("convert-pdtb", "--input", "{pdtb}", "--edus", "{seg}", "--head-rules", "{head_rules}", "--out", "{out}")
+CONVERT_RST = ("convert-rst", "--input", "{dis}", "--label-map", "{label_map}", "--out", "{out}")
+# each input kind, and a command that reads it
+BOM_CASES = [
+    ("pdtb", CONVERT_PDTB),
+    ("seg", CONVERT_PDTB),
+    ("head_rules", CONVERT_PDTB),
+    ("dis", CONVERT_RST),
+    ("label_map", CONVERT_RST),
+    *((fmt, ("validate", "--input", f"{{{fmt}}}")) for fmt in ("conll", "csv", "json")),
+    *((fmt, ("metrics", "--input", f"{{{fmt}}}", "--mode", "rooted", "--out", "{out}/m.csv")) for fmt in ("conll", "csv", "json")),
+    ("metrics", ("correlate", "--left", "{metrics}", "--right", "{metrics}", "--out", "{out}/r.csv")),
+]
+
+
+class TestByteOrderMark:
+    """Every input is UTF-8 with a leading byte-order mark skipped: a BOM'd
+    copy gives the same exit code, stdout and output bytes as the plain file."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, fixtures_dir, fig1_tree):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        for name in ("wsj_0618.pdtb", "wsj_0618.seg", "fig1.dis", "rst_classes.tsv"):
+            shutil.copy(fixtures_dir / name, plain / name)
+        # the first row of each map names a class that the fixture uses
+        (plain / "head_rules.tsv").write_text("Condition\tmarked-head\n")
+        graph = hirao_convert(fig1_tree)
+        for fmt in ("conll", "csv", "json"):
+            (plain / f"fig1.{fmt}").write_bytes(write_dep(graph, fmt))
+        (plain / "m.csv").write_text("doc_id,n_units,n_arcs,mdd,sd\na,5,4,1.0,0.5\nb,5,4,2.0,0.5\nc,5,4,3.5,0.5\n")
+        return {
+            "pdtb": plain / "wsj_0618.pdtb", "seg": plain / "wsj_0618.seg", "head_rules": plain / "head_rules.tsv",
+            "dis": plain / "fig1.dis", "label_map": plain / "rst_classes.tsv",
+            "conll": plain / "fig1.conll", "csv": plain / "fig1.csv", "json": plain / "fig1.json",
+            "metrics": plain / "m.csv",
+        }
+
+    @pytest.mark.parametrize("kind, argv", BOM_CASES, ids=[f"{kind}-{argv[0]}" for kind, argv in BOM_CASES])
+    def test_bom_copy_gives_same_bytes(self, tmp_path, inputs, capsys, kind, argv):
+        bom = tmp_path / "bom" / inputs[kind].name  # same name, same doc_id
+        bom.parent.mkdir()
+        bom.write_bytes(BOM + inputs[kind].read_bytes())
+        results = []
+        for paths in (inputs, {**inputs, kind: bom}):
+            out = tmp_path / f"out{len(results)}"
+            out.mkdir()
+            code = run(*(arg.format(out=out, **paths) for arg in argv))
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            results.append((code, capsys.readouterr().out, files))
+        assert results[0][0] == 0
+        assert results[1] == results[0]

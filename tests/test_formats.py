@@ -27,8 +27,8 @@ def rooted_two_edu():
         "doc",
         2,
         (
-            DependencyArc.make(1, 2, SenseTag("condition")),
-            DependencyArc.make(2, 0, SenseTag("ROOT", "NONE")),
+            DependencyArc(1, 2, SenseTag("condition")),
+            DependencyArc(2, 0, SenseTag("ROOT", "NONE")),
         ),
         GraphFlavor.ROOTED_TREE,
     )
@@ -56,7 +56,7 @@ class TestWriteDep:
 
     def test_unattached_unit_in_conll(self):
         g = DependencyGraph(
-            "d", 3, (DependencyArc.make(1, 2, SenseTag("x")),), GraphFlavor.LOCAL_FOREST
+            "d", 3, (DependencyArc(1, 2, SenseTag("x")),), GraphFlavor.LOCAL_FOREST
         )
         rows = [l for l in write_dep(g, "conll").decode().splitlines() if not l.startswith("#")]
         assert rows[2] == "3\t_\t_\t_\t_\t_"
@@ -65,7 +65,7 @@ class TestWriteDep:
         g = DependencyGraph(
             "d",
             3,
-            (DependencyArc.make(1, 2, SenseTag("x")), DependencyArc.make(1, 3, SenseTag("y"))),
+            (DependencyArc(1, 2, SenseTag("x")), DependencyArc(1, 3, SenseTag("y"))),
             GraphFlavor.LOCAL_FOREST,
         )
         with pytest.raises(FormatError, match="multiple heads"):
@@ -74,7 +74,7 @@ class TestWriteDep:
     @pytest.mark.parametrize("dependent", [0, -1, 4])
     def test_conll_refuses_dependent_outside_units(self, dependent):
         g = DependencyGraph(
-            "d", 3, (DependencyArc.make(dependent, 2, SenseTag("x")),), GraphFlavor.LOCAL_FOREST
+            "d", 3, (DependencyArc(dependent, 2, SenseTag("x")),), GraphFlavor.LOCAL_FOREST
         )
         with pytest.raises(FormatError, match=f"^conll cannot represent unit {dependent} outside 1..3$"):
             write_dep(g, "conll")
@@ -126,8 +126,8 @@ class TestReadDep:
             "d",
             2,
             (
-                DependencyArc.make(1, 2, SenseTag("x")),
-                DependencyArc.make(2, 0, SenseTag("ROOT", "NONE")),
+                DependencyArc(1, 2, SenseTag("x")),
+                DependencyArc(2, 0, SenseTag("ROOT", "NONE")),
             ),
             GraphFlavor.ROOTED_TREE,
         )
@@ -223,7 +223,7 @@ def local_forests(draw):
                 draw(_sense_text) if levels >= 2 else None,
                 draw(_sense_text) if levels == 3 else None,
             )
-            arcs.append(DependencyArc.make(dependent, head, sense))
+            arcs.append(DependencyArc(dependent, head, sense))
     return DependencyGraph(
         draw(st.text()),
         n,
@@ -417,7 +417,7 @@ class TestOnlyCrAndLfEndALine:
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
     def test_sense_level_round_trips_in_csv(self, char):
         graph = DependencyGraph(
-            "d", 2, (DependencyArc.make(1, 2, SenseTag(f"x{char}y")),), GraphFlavor.LOCAL_FOREST
+            "d", 2, (DependencyArc(1, 2, SenseTag(f"x{char}y")),), GraphFlavor.LOCAL_FOREST
         )
         assert read_dep(write_dep(graph, "csv"), "csv") == graph
 
@@ -524,7 +524,7 @@ class TestWritersRefuseWhatReadsBackDifferently:
         ],
     )
     def test_sense_level(self, fmt, sense, key, level):
-        graph = DependencyGraph("d", 2, (DependencyArc.make(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
+        graph = DependencyGraph("d", 2, (DependencyArc(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
         with pytest.raises(FormatError) as info:
             write_dep(graph, fmt)
         assert str(info.value) == f"{fmt} cannot represent sense {key} {level!r}"
@@ -534,7 +534,7 @@ class TestWritersRefuseWhatReadsBackDifferently:
                           ("d", SenseTag("x", "")), ("d", SenseTag("x\ty"))],
     )
     def test_json_writes_all_of_them(self, doc_id, sense):
-        graph = DependencyGraph(doc_id, 2, (DependencyArc.make(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
+        graph = DependencyGraph(doc_id, 2, (DependencyArc(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
         assert read_dep(write_dep(graph, "json"), "json") == graph
 
     @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb"])

@@ -45,7 +45,7 @@ JSON_VALUES = [1.7, "1e0", True, False, "3", None, [1], {}, 0, 1, 2, -1, 10**20,
 FIXED = DependencyGraph(
     "d",
     3,
-    (DependencyArc.make(1, 2, SenseTag("x", "y", "z")), DependencyArc.make(2, 0, SenseTag("ROOT"))),
+    (DependencyArc(1, 2, SenseTag("x", "y", "z")), DependencyArc(2, 0, SenseTag("ROOT"))),
     GraphFlavor.ROOTED_TREE,
 )
 
@@ -58,7 +58,7 @@ def graphs(draw):
         if draw(st.booleans()):
             head = draw(st.integers(0, n).filter(lambda h, d=dependent: h != d))
             levels = draw(st.lists(_word, min_size=1, max_size=3))
-            arcs.append(DependencyArc.make(dependent, head, SenseTag(*levels)))
+            arcs.append(DependencyArc(dependent, head, SenseTag(*levels)))
     flavor = draw(st.sampled_from(GraphFlavor))
     return DependencyGraph(draw(_id), n, tuple(arcs), flavor)
 

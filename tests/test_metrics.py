@@ -27,11 +27,11 @@ def graph_with_distances(distances, flavor=GraphFlavor.LOCAL_FOREST, unit_count=
     dependent = 1
     max_unit = 1
     for d in distances:
-        arcs.append(DependencyArc.make(dependent, dependent + d, SenseTag("x")))
+        arcs.append(DependencyArc(dependent, dependent + d, SenseTag("x")))
         max_unit = max(max_unit, dependent + d)
         dependent += 1
     if root_unit is not None:
-        arcs.append(DependencyArc.make(root_unit, 0, SenseTag("ROOT", "NONE")))
+        arcs.append(DependencyArc(root_unit, 0, SenseTag("ROOT", "NONE")))
     n = unit_count if unit_count is not None else max_unit
     return DependencyGraph("g", n, tuple(arcs), flavor)
 
@@ -53,7 +53,7 @@ class TestMddRooted:
         assert mdd_rooted(g) == 1.0
 
     def test_single_edu_undefined(self):
-        g = DependencyGraph("g", 1, (DependencyArc.make(1, 0, SenseTag("ROOT")),), GraphFlavor.ROOTED_TREE)
+        g = DependencyGraph("g", 1, (DependencyArc(1, 0, SenseTag("ROOT")),), GraphFlavor.ROOTED_TREE)
         with pytest.raises(UndefinedMetric):
             mdd_rooted(g)
 

@@ -11,13 +11,17 @@ from discodep import (
     GraphFlavor,
     SenseTag,
     Span,
+    mdd_rooted,
+    read_dep,
     validate_graph,
+    write_dep,
 )
+from discodep.formats import FORMATS
 from discodep.model import ROOT, _by_dependent, _cycles
 
 
 def arc(dep, head, l1="Expansion", l2="Conjunction"):
-    return DependencyArc.make(dep, head, SenseTag(l1, l2))
+    return DependencyArc(dep, head, SenseTag(l1, l2))
 
 
 def forest(n, arcs, doc_id="doc"):
@@ -93,8 +97,20 @@ class TestDependencyArc:
     def test_rejects_self_loop_and_bad_distance(self):
         with pytest.raises(ValueError):
             arc(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             DependencyArc(1, 3, SenseTag("x"), distance=5)
+
+    def test_root_arc_takes_no_distance(self):
+        # an arc stores no distance, so a root arc cannot carry one that
+        # mdd_rooted would add up or a writer would write
+        root_sense = SenseTag("ROOT", "NONE")
+        with pytest.raises(TypeError):
+            DependencyArc(2, 0, root_sense, 5)
+        graph = rooted(2, [arc(1, 2), DependencyArc(2, 0, root_sense)])
+        assert validate_graph(graph) == []
+        assert mdd_rooted(graph) == 1.0
+        for fmt in FORMATS:
+            assert read_dep(write_dep(graph, fmt), fmt) == graph
 
 
 class TestValidateGraph:
@@ -193,7 +209,7 @@ def anomalous_graphs(draw):
     ids = st.integers(-1, n + 2)
     triples = draw(st.lists(st.tuples(ids, ids, _SENSES).filter(lambda t: t[0] != t[1]), max_size=12))
     flavor = draw(st.sampled_from(GraphFlavor))
-    return DependencyGraph("doc", n, tuple(DependencyArc.make(*t) for t in triples), flavor)
+    return DependencyGraph("doc", n, tuple(DependencyArc(*t) for t in triples), flavor)
 
 
 @settings(deadline=None, max_examples=500)

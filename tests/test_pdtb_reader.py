@@ -131,10 +131,14 @@ def test_corrupted_line_non_strict(fixtures_dir):
 
 
 def test_corrupted_line_strict_raises(fixtures_dir):
+    # the strict reading of one line is parse_relation_line; the file reader
+    # reports the same error class as that line's diagnostic
     lines = (fixtures_dir / "wsj_0618.pdtb").read_text(encoding="utf-8").splitlines()
     lines[0] = lines[0].replace("79..94", "nonsense")
     with pytest.raises(MalformedSpan):
-        parse_relation_text("\n".join(lines), strict=True)
+        parse_relation_line(lines[0], line_no=1)
+    _, diagnostics = parse_relation_text("\n".join(lines))
+    assert [(d.code, d.line_no) for d in diagnostics] == [("MalformedSpan", 1)]
 
 
 def test_parsing_is_deterministic_and_order_preserving(fixtures_dir):
