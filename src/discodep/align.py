@@ -6,7 +6,7 @@ from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from pathlib import Path
 
-from .formats import _lines, _read_text, _tab_rows
+from .formats import _decode, _lines, _read_text, _tab_rows
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
@@ -126,9 +126,10 @@ def parse_segmentation(text: str) -> dict[str, Document]:
     """Parse a segmentation file: tab-separated doc_id, edu_index, start, end.
 
     One EDU per line; per-document indices must be contiguous from 1 and
-    spans ordered and non-overlapping (enforced by Document).
+    spans ordered and non-overlapping (enforced by Document). One leading
+    byte-order mark is skipped.
     """
-    return _documents(_lines(text))
+    return _documents(_lines(_decode(text)))
 
 
 class Inventories(Mapping[str, Document]):
@@ -170,7 +171,7 @@ def read_segmentation(
     """
     text = _read_text(path)
     if doc_ids is None:
-        return parse_segmentation(text)
+        return _documents(_lines(text))
     wanted: dict[str, list[tuple[int, str]]] = {}
     for line_no, line in _lines(text):
         first, tab, _ = line.partition("\t")

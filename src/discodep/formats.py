@@ -57,7 +57,10 @@ def _codec(fmt: str):
 
 
 def _decode(data: bytes | str) -> str:
-    return data.decode(_INPUT_ENCODING) if isinstance(data, bytes) else data
+    """``data`` as text, bytes decoded as UTF-8, without one leading byte-order mark."""
+    if isinstance(data, bytes):
+        return data.decode(_INPUT_ENCODING)
+    return data[1:] if data.startswith("\ufeff") else data
 
 
 def _read_text(path: str | Path) -> str:

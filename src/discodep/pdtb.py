@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formats import _lines, _read_text
+from .formats import _decode, _lines, _read_text
 from .model import (
     Diagnostic,
     DiscodepError,
@@ -179,7 +179,14 @@ def parse_relation_text(
     columns: ColumnMap = DEFAULT_COLUMNS,
     doc_id: str | None = None,
 ) -> tuple[list[PdtbRelation], list[Diagnostic]]:
-    """Parse relation records from text, one per line; blank lines ignored."""
+    """Parse relation records from text, one per line; blank lines ignored.
+    One leading byte-order mark is skipped."""
+    return _parse_relations(_decode(text), columns, doc_id)
+
+
+def _parse_relations(
+    text: str, columns: ColumnMap, doc_id: str | None
+) -> tuple[list[PdtbRelation], list[Diagnostic]]:
     relations: list[PdtbRelation] = []
     diagnostics: list[Diagnostic] = []
     for line_no, line in _lines(text):
@@ -197,5 +204,4 @@ def parse_relation_file(
 ) -> tuple[list[PdtbRelation], list[Diagnostic]]:
     """Parse a relation file; records are returned in file order."""
     path = Path(path)
-    text = _read_text(path)
-    return parse_relation_text(text, columns, doc_id=path.stem)
+    return _parse_relations(_read_text(path), columns, path.stem)

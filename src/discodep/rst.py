@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .formats import _read_text
+from .formats import _decode, _read_text
 from .model import (
     DiscodepError,
     Document,
@@ -56,7 +56,28 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# One match is one whole unit, spanning exactly the tokens _TOKEN reads
+# there: a ")" (group 1), a node header (2), or a well-formed (leaf k) (3),
+# (span a b) (4, 5), (rel2par words) (6) or (text _!fragment_!) (7) list.
+# Any other list (malformed, nested, a Promotion set, a word starting with
+# _!, a non-ASCII digit) matches none and is read token by token.
+_UNIT = re.compile(
+    r"""
+    \s*(?:
+      (\))
+    | \(\s*(?:
+        (Root|Nucleus|Satellite)(?![^\s()])
+      | leaf\s+([0-9]+)\s*\)
+      | span\s+([0-9]+)\s+([0-9]+)\s*\)
+      | rel2par((?:\s+(?!_!)[^\s()]+)*)\s*\)
+      | text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)  # up to the first _!, as _TOKEN reads it
+    ))
+    """,
+    re.VERBOSE,
+)
+
 _NODE_LABELS = {"Root", "Nucleus", "Satellite"}
+_NUCLEARITY = {n.value: n for n in Nuclearity}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -73,16 +94,24 @@ def _int_fields(key: str, payload: list[str], arity: int) -> list[int]:
     raise DisParseError(f"malformed ({' '.join([key, *payload])}): expected {arity} integer(s)")
 
 
-def _read_attr(tokens: list[tuple[str, str]], pos: int, attrs: dict) -> int:
-    """Store the attribute list opening at tokens[pos]; return the position after it."""
-    pos += 1
-    if pos >= len(tokens) or tokens[pos][0] != "atom":
+def _read_attr(text: str, pos: int, attrs: dict) -> int:
+    """Read token by token what no ``_UNIT`` alternative matches at ``pos``
+    inside a node: store an attribute list and return the offset after its
+    ")", or raise for anything else."""
+    tokens = _TOKEN.finditer(text, pos)
+    m = next(tokens, None)
+    if m is None:
+        raise UnbalancedParens("unexpected end of input inside node")
+    if m.lastgroup != "open":
+        raise DisParseError(f"unexpected token {m[m.lastgroup]!r} inside node")
+    m = next(tokens, None)
+    if m is None or m.lastgroup != "atom":
         raise DisParseError("attribute list without a key")
-    key = tokens[pos][1]
+    key = m["atom"]
     payload: list[str] = []
     depth = 0
-    for pos in range(pos + 1, len(tokens)):
-        kind, value = tokens[pos]
+    for m in tokens:
+        kind = m.lastgroup
         if kind == "close":
             if depth == 0:
                 break
@@ -90,7 +119,7 @@ def _read_attr(tokens: list[tuple[str, str]], pos: int, attrs: dict) -> int:
         elif kind == "open":
             depth += 1
         else:
-            payload.append(value)
+            payload.append(m[kind])
     else:
         raise UnbalancedParens(f"unterminated attribute ({key}")
     if key == "leaf":
@@ -104,11 +133,11 @@ def _read_attr(tokens: list[tuple[str, str]], pos: int, attrs: dict) -> int:
             raise DisParseError("malformed (text): expected a fragment")
         attrs["text"] = payload[0]
     # other attributes (e.g. Promotion sets) are tolerated and dropped
-    return pos + 1
+    return m.end()
 
 
 def _unescape(fragment: str) -> str:
-    return re.sub(r"\\(.)", r"\1", fragment)
+    return re.sub(r"\\(.)", r"\1", fragment) if "\\" in fragment else fragment
 
 
 def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInternal:
@@ -124,7 +153,7 @@ def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInterna
     for child_label, node, rel2par in children:
         if child_label == "Root":
             raise DisParseError("Root label on a non-root node")
-        nuclearity = Nuclearity(child_label)
+        nuclearity = _NUCLEARITY[child_label]
         has_nucleus = has_nucleus or nuclearity is Nuclearity.NUCLEUS
         built.append(RstChild(node, nuclearity, rel2par or "span"))
     if not has_nucleus:
@@ -135,46 +164,61 @@ def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInterna
 
 
 def parse_dis(text: str, doc_id: str = "") -> RstTree:
-    """Parse a ".dis" constituency tree into an RstTree.
+    """Parse a ".dis" constituency tree into an RstTree; one leading
+    byte-order mark is skipped.
 
-    One pass over the tokens with an explicit stack of open nodes; each
-    node is built when it closes, so tree depth is not limited by recursion.
+    One scan with an explicit stack of open nodes: each ``_UNIT`` match is
+    a node header, a whole attribute list or a ")", and anything else is
+    read token by token (``_read_attr``), with the same errors. Each node
+    is built when it closes, so tree depth is not limited by recursion.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise DisParseError("empty input")
-    if tokens[0][0] != "open":
-        raise UnbalancedParens("expected '(' at token 0")
-    if len(tokens) < 2 or tokens[1][0] != "atom" or tokens[1][1] not in _NODE_LABELS:
-        got = tokens[1][1] if len(tokens) > 1 else "<eof>"
-        raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
-    if tokens[1][1] != "Root":
+    return _parse(_decode(text), doc_id)
+
+
+def _parse(text: str, doc_id: str) -> RstTree:
+    match = _UNIT.match
+    m = match(text)
+    if m is None or m.lastindex != 2 or m[2] != "Root":
+        tokens = _tokenize(text)[:2]
+        if not tokens:
+            raise DisParseError("empty input")
+        if tokens[0][0] != "open":
+            raise UnbalancedParens("expected '(' at token 0")
+        if len(tokens) < 2 or tokens[1][0] != "atom" or tokens[1][1] not in _NODE_LABELS:
+            got = tokens[1][1] if len(tokens) > 1 else "<eof>"
+            raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
         raise DisParseError(f"top-level node must be Root, got {tokens[1][1]}")
-    # open nodes: (label, attributes, built (label, node, rel2par) children)
-    stack: list[tuple[str, dict, list]] = [("Root", {}, [])]
-    pos = 2
+    # open nodes: (label, attributes, built (label, node, rel2par) children);
+    # attrs are those of the innermost one
+    attrs: dict = {}
+    stack: list[tuple[str, dict, list]] = [("Root", attrs, [])]
+    pos = m.end()
     while True:
-        if pos >= len(tokens):
-            raise UnbalancedParens("unexpected end of input inside node")
-        kind, value = tokens[pos]
-        if kind == "open":
-            # lookahead: an inner list is either a child node or an attribute
-            ahead = tokens[pos + 1] if pos + 1 < len(tokens) else ("", "")
-            if ahead[0] == "atom" and ahead[1] in _NODE_LABELS:
-                stack.append((ahead[1], {}, []))
-                pos += 2
-            else:
-                pos = _read_attr(tokens, pos, stack[-1][1])
+        m = match(text, pos)
+        if m is None:
+            pos = _read_attr(text, pos, attrs)
             continue
-        if kind != "close":
-            raise DisParseError(f"unexpected token {value!r} inside node")
-        pos += 1
-        label, attrs, children = stack.pop()
-        if not stack:
-            break
-        stack[-1][2].append((label, _close_node(label, attrs, children), attrs.get("rel2par")))
-    if pos != len(tokens):
-        raise UnbalancedParens(f"trailing tokens after tree (at token {pos})")
+        pos = m.end()
+        unit = m.lastindex
+        if unit == 1:
+            label, attrs, children = stack.pop()
+            if not stack:
+                break
+            stack[-1][2].append((label, _close_node(label, attrs, children), attrs.get("rel2par")))
+            attrs = stack[-1][1]
+        elif unit == 2:
+            attrs = {}
+            stack.append((m[2], attrs, []))
+        elif unit == 3:
+            attrs["leaf"] = int(m[3])
+        elif unit == 5:
+            attrs["span"] = (int(m[4]), int(m[5]))
+        elif unit == 6:
+            attrs["rel2par"] = " ".join(m[6].split())
+        else:
+            attrs["text"] = m[7]
+    if _TOKEN.match(text, pos):
+        raise UnbalancedParens(f"trailing tokens after tree (at token {len(_tokenize(text[:pos]))})")
     # degenerate single-child root wrapper: unwrap to the bare leaf
     if "leaf" not in attrs and len(children) == 1 and isinstance(children[0][1], RstLeaf):
         root = children[0][1]
@@ -192,7 +236,7 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
 
 def parse_dis_file(path: str | Path) -> RstTree:
     path = Path(path)
-    return parse_dis(_read_text(path), doc_id=path.stem)
+    return _parse(_read_text(path), path.stem)
 
 
 def _escape(fragment: str) -> str:

@@ -6,6 +6,11 @@ recursive printer.
 The library replaced them with single iterative passes; the property
 tests in ``test_rst_oracle.py`` check that both give the same results.
 They recurse on tree depth, so use them on shallow trees only.
+
+``token_parse_dis`` is the iterative parser that came between: one
+explicit-stack pass over the whole token list, reading every attribute
+list token by token. The library's scanner must agree with it on every
+input, tree or error.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from discodep.rst import (
     NonContiguousLeaves,
     UnbalancedParens,
     _escape,
+    _tokenize,
     _unescape,
 )
 from discodep.rst2dep import ROOT_SENSE
@@ -180,6 +186,129 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
         raise NonContiguousLeaves(
             f"root declares span {raw.span} but tree has {tree.leaf_count} leaves"
         )
+    return tree
+
+
+
+def _int_fields(key: str, payload: list[str], arity: int) -> list[int]:
+    try:
+        if len(payload) == arity:
+            return [int(field) for field in payload]
+    except ValueError:
+        pass
+    raise DisParseError(f"malformed ({' '.join([key, *payload])}): expected {arity} integer(s)")
+
+
+def _read_attr(tokens: list[tuple[str, str]], pos: int, attrs: dict) -> int:
+    """Store the attribute list opening at tokens[pos]; return the position after it."""
+    pos += 1
+    if pos >= len(tokens) or tokens[pos][0] != "atom":
+        raise DisParseError("attribute list without a key")
+    key = tokens[pos][1]
+    payload: list[str] = []
+    depth = 0
+    for pos in range(pos + 1, len(tokens)):
+        kind, value = tokens[pos]
+        if kind == "close":
+            if depth == 0:
+                break
+            depth -= 1
+        elif kind == "open":
+            depth += 1
+        else:
+            payload.append(value)
+    else:
+        raise UnbalancedParens(f"unterminated attribute ({key}")
+    if key == "leaf":
+        attrs["leaf"] = _int_fields(key, payload, 1)[0]
+    elif key == "span":
+        attrs["span"] = tuple(_int_fields(key, payload, 2))
+    elif key == "rel2par":
+        attrs["rel2par"] = " ".join(payload)
+    elif key == "text":
+        if not payload:
+            raise DisParseError("malformed (text): expected a fragment")
+        attrs["text"] = payload[0]
+    # other attributes (e.g. Promotion sets) are tolerated and dropped
+    return pos + 1
+
+
+def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInternal:
+    """Build a node from its attributes and its already built (label, node, rel2par) children."""
+    leaf = attrs.get("leaf")
+    if leaf is not None:
+        text = attrs.get("text")
+        return RstLeaf(leaf, _unescape(text) if text is not None else None)
+    if not children:
+        raise DisParseError(f"{label} node has neither (leaf k) nor children")
+    built = []
+    has_nucleus = False
+    for child_label, node, rel2par in children:
+        if child_label == "Root":
+            raise DisParseError("Root label on a non-root node")
+        nuclearity = Nuclearity(child_label)
+        has_nucleus = has_nucleus or nuclearity is Nuclearity.NUCLEUS
+        built.append(RstChild(node, nuclearity, rel2par or "span"))
+    if not has_nucleus:
+        raise MissingNuclearity(
+            f"internal node over leaves {attrs.get('span') or '?'} has no Nucleus child"
+        )
+    return RstInternal(tuple(built))
+
+
+def token_parse_dis(text: str, doc_id: str = "") -> RstTree:
+    """Parse a ".dis" constituency tree into an RstTree.
+
+    One pass over the tokens with an explicit stack of open nodes; each
+    node is built when it closes, so tree depth is not limited by recursion.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise DisParseError("empty input")
+    if tokens[0][0] != "open":
+        raise UnbalancedParens("expected '(' at token 0")
+    if len(tokens) < 2 or tokens[1][0] != "atom" or tokens[1][1] not in _NODE_LABELS:
+        got = tokens[1][1] if len(tokens) > 1 else "<eof>"
+        raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
+    if tokens[1][1] != "Root":
+        raise DisParseError(f"top-level node must be Root, got {tokens[1][1]}")
+    # open nodes: (label, attributes, built (label, node, rel2par) children)
+    stack: list[tuple[str, dict, list]] = [("Root", {}, [])]
+    pos = 2
+    while True:
+        if pos >= len(tokens):
+            raise UnbalancedParens("unexpected end of input inside node")
+        kind, value = tokens[pos]
+        if kind == "open":
+            # lookahead: an inner list is either a child node or an attribute
+            ahead = tokens[pos + 1] if pos + 1 < len(tokens) else ("", "")
+            if ahead[0] == "atom" and ahead[1] in _NODE_LABELS:
+                stack.append((ahead[1], {}, []))
+                pos += 2
+            else:
+                pos = _read_attr(tokens, pos, stack[-1][1])
+            continue
+        if kind != "close":
+            raise DisParseError(f"unexpected token {value!r} inside node")
+        pos += 1
+        label, attrs, children = stack.pop()
+        if not stack:
+            break
+        stack[-1][2].append((label, _close_node(label, attrs, children), attrs.get("rel2par")))
+    if pos != len(tokens):
+        raise UnbalancedParens(f"trailing tokens after tree (at token {pos})")
+    # degenerate single-child root wrapper: unwrap to the bare leaf
+    if "leaf" not in attrs and len(children) == 1 and isinstance(children[0][1], RstLeaf):
+        root = children[0][1]
+    else:
+        root = _close_node(label, attrs, children)
+    try:
+        tree = RstTree(root, doc_id=doc_id)
+    except ValueError as err:
+        raise NonContiguousLeaves(str(err)) from None
+    span = attrs.get("span")
+    if span is not None and span != (1, tree.leaf_count):
+        raise NonContiguousLeaves(f"root declares span {span} but tree has {tree.leaf_count} leaves")
     return tree
 
 

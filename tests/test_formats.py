@@ -542,3 +542,25 @@ class TestWritersRefuseWhatReadsBackDifferently:
         with pytest.raises(FormatError) as info:
             write_metrics([MetricsRecord("a", 1, 0, None, None), MetricsRecord(doc_id, 2, 1, 1.0, None)])
         assert str(info.value) == f"metrics cannot represent doc_id {doc_id!r}"
+
+
+class TestTextInputSkipsOneByteOrderMark:
+    """A text entry point skips one leading U+FEFF, as the file readers do."""
+
+    def test_read_dep(self, wsj_graph):
+        for fmt in FORMATS:
+            text = write_dep(wsj_graph, fmt).decode("utf-8")
+            assert read_dep("\ufeff" + text, fmt) == wsj_graph
+        with pytest.raises(FormatError, match="unexpected header"):
+            read_dep("\ufeff\ufeff" + write_dep(wsj_graph, "csv").decode("utf-8"), "csv")
+
+    def test_read_metrics(self):
+        records = [MetricsRecord("a", 2, 1, 1.0, None)]
+        assert read_metrics("\ufeff" + write_metrics(records).decode("utf-8")) == records
+
+    def test_parse_segmentation(self):
+        assert parse_segmentation("\ufeffd\t1\t0\t5\n") == parse_segmentation("d\t1\t0\t5\n")
+
+    def test_parse_relation_text(self, fixtures_dir):
+        text = (fixtures_dir / "wsj_0618.pdtb").read_text(encoding="utf-8")
+        assert parse_relation_text("\ufeff" + text) == parse_relation_text(text)

@@ -193,3 +193,78 @@ def test_malformed_attribute_is_a_parse_error(attribute):
     text = f"( Root ( Nucleus (leaf 1) {attribute} ) ( Satellite (leaf 2) ) )"
     with pytest.raises(DisParseError, match="malformed"):
         parse_dis(text)
+
+
+@pytest.mark.parametrize("text", SINGLE_DEFECTS + ACCEPTED_ODDITIES)
+def test_single_defect_outcomes_match_token_parser(text):
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)
+
+
+# attribute lists that the scanner must leave to the token path, and
+# inputs where a whole-list match would read different tokens than _TOKEN
+TOKEN_PATH_CASES = [
+    "( Root ( Nucleus (leaf 1) (text_!x_!) ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a_! b) ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a_! b _!) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a_!_!) ) ( Satellite (leaf 2) (text _!b_!) ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a_!) _!b_! ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a_!)_!) ) )",
+    "( Root ( Nucleus (leaf 1) (text _!a) ( Satellite (leaf 2) ) _!) ) )",
+    "( Root ( Nucleus (leaf 1) (rel2par _!x_! y) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) (rel2par _!x) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1) (rel2par a_!b) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf +1) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf ١) ) ( Satellite (leaf 2) ) )",
+    "( Root (span 1 ٢) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1x) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1_0) ) ( Satellite (leaf 2) ) )",
+    "( Root (span 1 2 ) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (leaf 1 ) (Promotion 1) ) ( Satellite (leaf 2) (rel2par (a b) c) ) )",
+    "( Root ( Nucleusx (leaf 1) ) )",
+    "( Root ( Nucleus_!x_! (leaf 1) ) )",
+    "( Root (Root_!x_!) ( Nucleus (leaf 1) ) )",
+    "(Root(Nucleus(leaf 1)(text _!a_!))(Satellite(leaf 2)(rel2par x)))",
+    " ( Root ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) ",
+    "( Root ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) x",
+    "( Root ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) _!x",
+    "( Rootx ( Nucleus (leaf 1) ) )",
+    "_!( Root_! ( Nucleus (leaf 1) ) )",
+]
+
+
+@pytest.mark.parametrize("text", TOKEN_PATH_CASES)
+def test_token_path_outcomes_match_token_parser(text):
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)
+
+
+_DIS_FRAGMENTS = st.sampled_from(
+    ["(", ")", "Root", "Nucleus", "Satellite", "leaf", "span", "rel2par", "text", "Promotion"]
+    + ["_!", "1", "2", "+1", "\u0661", "x", "\\", " ", "\n", "\u00a0"]
+)
+# whole units and list openers, so that fragments also land within and
+# between well-formed lists
+_DIS_UNITS = st.sampled_from(
+    ["( Nucleus", "( Satellite", "(leaf 1)", "(leaf 2)", "(span 1 2)", "(rel2par x y)", "(text _!a_!)", " )"]
+    + ["(leaf ", "(span ", "(rel2par ", "(text _!"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(opened=st.booleans(), parts=st.lists(_DIS_FRAGMENTS | _DIS_UNITS, max_size=60))
+def test_scanner_matches_token_parser_on_fragments(opened, parts):
+    text = "( Root " * opened + "".join(parts)
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    tree=rst_trees(max_leaves=8),
+    edits=st.lists(st.tuples(st.integers(0, 10**4), st.none() | _DIS_FRAGMENTS), max_size=4),
+)
+def test_scanner_matches_token_parser_on_edited_trees(tree, edits):
+    # each edit deletes the character at an offset (None) or inserts a fragment
+    text = pretty_print(tree)
+    for at, fragment in edits:
+        at %= len(text) + 1
+        text = text[:at] + (fragment or "") + text[at + (fragment is None) :]
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)

@@ -1,6 +1,7 @@
 import pytest
 
 from discodep import Nuclearity, RstInternal, RstLeaf, edu_inventory_of, parse_dis, pretty_print
+from discodep import rst
 from discodep.rst import (
     FragmentNotFound,
     MissingNuclearity,
@@ -106,6 +107,42 @@ def test_single_leaf_root_wrapper():
     tree = parse_dis("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text _!all of it_!) ) )")
     assert tree.leaf_count == 1
     assert isinstance(tree.root, RstLeaf)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    assert parse_dis("\ufeff" + MINIMAL, "d") == parse_dis(MINIMAL, "d")
+    # decoding a file skips its mark, so a second one is text
+    path = tmp_path / "d.dis"
+    path.write_text("\ufeff\ufeff" + MINIMAL, encoding="utf-8")
+    with pytest.raises(UnbalancedParens, match="at token 0"):
+        rst.parse_dis_file(path)
+
+
+@pytest.fixture
+def token_path_calls(monkeypatch):
+    """Count the attribute lists that the scanner leaves to the token path."""
+    calls = []
+    read_attr = rst._read_attr
+
+    def counting(text, pos, attrs):
+        calls.append(pos)
+        return read_attr(text, pos, attrs)
+
+    monkeypatch.setattr(rst, "_read_attr", counting)
+    return calls
+
+
+def test_well_formed_files_take_no_token_path(fixtures_dir, deep_dis_text, token_path_calls):
+    for name in ("fig1.dis", "fourleaf.dis"):
+        rst.parse_dis_file(fixtures_dir / name)
+    assert parse_dis(deep_dis_text).leaf_count == 1200
+    assert token_path_calls == []
+
+
+def test_a_promotion_set_takes_the_token_path(token_path_calls):
+    tree = parse_dis("( Root ( Nucleus (leaf 1) (Promotion 1) ) ( Satellite (leaf 2) (rel2par x) ) )")
+    assert tree.leaf_count == 2
+    assert len(token_path_calls) == 1
 
 
 class TestEduInventory:
