@@ -33,31 +33,39 @@ def _merge(spans: Iterable[Span]) -> tuple[Span, ...]:
     return tuple(merged)
 
 
-def _covered(spans: Iterable[Span], doc: Document) -> dict[int, int]:
-    """Characters of the merged span set inside each EDU it touches, in EDU order.
-
-    EDUs are sorted and disjoint, so each span bisects to the first EDU
-    ending after its start and walks forward only over the EDUs it overlaps.
-    """
-    edus = doc.edus
-    covered: dict[int, int] = {}
-    for span in _merge(spans):
-        pos = bisect_right(edus, span.start, key=lambda e: e[1].end)
-        while pos < len(edus) and edus[pos][1].start < span.end:
-            index, edu_span = edus[pos]
-            covered[index] = covered.get(index, 0) + edu_span.overlap(span)
-            pos += 1
-    return covered
+def _edu_end(edu: tuple[int, Span]) -> int:
+    return edu[1].end
 
 
 def _align(
     spans: Iterable[Span], doc: Document, theta: float
 ) -> tuple[set[int], dict[int, int]]:
-    """EDUs meeting theta, and the covered characters they were chosen from."""
+    """EDUs meeting theta, and the characters of the merged span set inside
+    each EDU it touches, in EDU order, that they were chosen from.
+
+    EDUs are sorted and disjoint, so each span bisects to the first EDU
+    ending after its start and walks forward only over the EDUs it overlaps.
+    """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    covered = _covered(spans, doc)
-    hits = {i for i, chars in covered.items() if chars >= theta * len(doc.span_of(i))}
+    edus = doc.edus
+    n = len(edus)
+    covered: dict[int, int] = {}
+    for span in _merge(spans):
+        start, end = span.start, span.end
+        pos = bisect_right(edus, start, key=_edu_end)
+        while pos < n:
+            index, edu = edus[pos]
+            edu_start, edu_end = edu.start, edu.end
+            if edu_start >= end:
+                break
+            covered[index] = covered.get(index, 0) + min(edu_end, end) - max(edu_start, start)
+            pos += 1
+    hits = set()
+    for index, chars in covered.items():
+        edu = edus[index - 1][1]
+        if chars >= theta * (edu.end - edu.start):
+            hits.add(index)
     return hits, covered
 
 

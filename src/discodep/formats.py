@@ -295,26 +295,34 @@ def _read_csv(text: str) -> DependencyGraph:
     return _graph(meta, rows, meta.get("unit_count"))
 
 
+def _json_value(value) -> str:
+    return "null" if value is None else json.dumps(value)
+
+
+# one arc of the arcs list at json.dumps(..., indent=2) nesting: dependent,
+# head and distance, then the sense block, which _write_json builds once per SenseTag
+_JSON_ARC = '    {{\n      "dependent": {},\n      "head": {},\n      "distance": {},\n{}'
+_JSON_SENSE = '      "sense": {{\n        "level1": {},\n        "level2": {},\n        "level3": {}\n      }}\n    }}'
+
+
 def _write_json(graph: DependencyGraph) -> bytes:
-    payload = {
-        "doc_id": graph.doc_id,
-        "unit_count": graph.unit_count,
-        "flavor": graph.flavor.value,
-        "arcs": [
-            {
-                "dependent": arc.dependent,
-                "head": arc.head,
-                "distance": arc.distance,
-                "sense": {
-                    "level1": arc.sense.level1,
-                    "level2": arc.sense.level2,
-                    "level3": arc.sense.level3,
-                },
-            }
-            for arc in graph.arcs
-        ],
-    }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, built directly:
+    keys in a fixed order, strings with ASCII escapes, None as ``null``."""
+    blocks: dict[SenseTag, str] = {}
+    arcs = []
+    for arc in graph.arcs:
+        sense, distance = arc.sense, arc.distance
+        block = blocks.get(sense)
+        if block is None:
+            levels = (sense.level1, sense.level2, sense.level3)
+            block = blocks[sense] = _JSON_SENSE.format(*map(_json_value, levels))
+        arcs.append(_JSON_ARC.format(arc.dependent, arc.head, "null" if distance is None else distance, block))
+    listed = "[\n" + ",\n".join(arcs) + "\n  ]" if arcs else "[]"
+    text = (
+        f'{{\n  "doc_id": {json.dumps(graph.doc_id)},\n  "unit_count": {graph.unit_count},\n'
+        f'  "flavor": {json.dumps(graph.flavor.value)},\n  "arcs": {listed}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def _read_json(text: str) -> DependencyGraph:

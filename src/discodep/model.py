@@ -110,7 +110,7 @@ class SenseTag:
         return cls(padded[0], padded[1], padded[2])
 
     def __str__(self) -> str:
-        return ".".join(p for p in (self.level1, self.level2, self.level3) if p)
+        return ".".join(filter(None, (self.level1, self.level2, self.level3)))
 
 
 class RelationKind(enum.Enum):
@@ -265,14 +265,27 @@ class DependencyGraph:
     def __post_init__(self) -> None:
         # canonical arc order makes equality and serialization independent
         # of the order in which arcs were produced
-        ordered = tuple(
-            sorted(self.arcs, key=lambda a: (a.dependent, a.head, str(a.sense)))
-        )
-        object.__setattr__(self, "arcs", ordered)
+        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=_arc_order)))
 
     def distances(self) -> list[int]:
         """Finite dependency distances, root arcs excluded."""
         return [a.distance for a in self.arcs if not a.is_root]
+
+
+def _arc_order(arc: DependencyArc) -> tuple:
+    """Dependent, head and printed sense; then each sense level, absent
+    after any string, which separates two unequal senses that print alike
+    (``SenseTag.parse("a..c")`` and ``SenseTag.parse("a.c")``, or a level
+    None and one "")."""
+    s = arc.sense
+    return (
+        arc.dependent,
+        arc.head,
+        str(s),
+        s.level1 is None, s.level1 or "",
+        s.level2 is None, s.level2 or "",
+        s.level3 is None, s.level3 or "",
+    )
 
 
 def _by_dependent(arcs: tuple[DependencyArc, ...]) -> dict[int, list[DependencyArc]]:

@@ -17,8 +17,8 @@ from .model import (
     Span,
 )
 
-_SPAN_TOKEN = re.compile(r"(\d+)\.\.(\d+)")
 _LINK_TOKEN = re.compile(r"LINK\d+", re.IGNORECASE)
+_KINDS = {kind.value: kind for kind in RelationKind}
 
 
 class PdtbParseError(DiscodepError):
@@ -67,6 +67,8 @@ class ColumnMap:
         indices = self.as_tuple()
         if len(set(indices)) != len(indices) or min(indices) < 0:
             raise ValueError(f"column indices must be distinct and >= 0: {indices}")
+        # the last column a line must reach, computed once and not per line
+        object.__setattr__(self, "last_col", max(indices))
 
     def as_tuple(self) -> tuple[int, ...]:
         return (
@@ -107,10 +109,11 @@ def _parse_span_list(token: str, line_no: int) -> tuple[Span, ...]:
         part = part.strip()
         if not part:
             continue
-        m = _SPAN_TOKEN.fullmatch(part)
-        if m is None:
+        # each end is one or more decimal digits of any script (category Nd), which int() reads
+        start, _, end = part.partition("..")
+        if not (start.isdecimal() and end.isdecimal()):
             raise MalformedSpan(f"bad span token {part!r}", line_no)
-        start, end = int(m.group(1)), int(m.group(2))
+        start, end = int(start), int(end)
         if end < start:
             raise MalformedSpan(f"span ends before it starts: {part!r}", line_no)
         spans.append(Span(start, end + 1))
@@ -122,17 +125,16 @@ def parse_relation_line(
 ) -> PdtbRelation:
     """Parse one pipe-delimited relation record into a PdtbRelation."""
     fields = line.rstrip("\n").split("|")
-    needed = max(columns.as_tuple())
+    needed = columns.last_col
     if len(fields) <= needed:
         raise ShortLine(
             f"line has {len(fields)} fields, need at least {needed + 1}", line_no
         )
 
     kind_token = fields[columns.kind_col].strip()
-    try:
-        kind = RelationKind(kind_token)
-    except ValueError:
-        raise UnknownKind(f"unknown relation kind {kind_token!r}", line_no) from None
+    kind = _KINDS.get(kind_token)
+    if kind is None:
+        raise UnknownKind(f"unknown relation kind {kind_token!r}", line_no)
 
     senses: list[SenseTag] = []
     for col in (columns.sense1_col, columns.sense2_col):

@@ -1,9 +1,11 @@
 """The line-based readers as they were before ``formats`` decoded every text
 input through one line splitter, one tab-row reader and one arc-row check,
+and the json writer as it was before ``formats`` built its text directly,
 kept verbatim as a differential oracle for ``test_formats_oracle.py``.
 
 Each reader split lines with ``str.splitlines``, and conll, csv and json
-each built and checked their arcs on their own.
+each built and checked their arcs on their own. The json writer handed a
+payload dict to ``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
@@ -256,6 +258,28 @@ def parse_segmentation(text: str) -> dict[str, Document]:
         except ValueError as err:
             raise SegmentationError(str(err)) from None
     return documents
+
+
+def _write_json(graph: DependencyGraph) -> bytes:
+    payload = {
+        "doc_id": graph.doc_id,
+        "unit_count": graph.unit_count,
+        "flavor": graph.flavor.value,
+        "arcs": [
+            {
+                "dependent": arc.dependent,
+                "head": arc.head,
+                "distance": arc.distance,
+                "sense": {
+                    "level1": arc.sense.level1,
+                    "level2": arc.sense.level2,
+                    "level3": arc.sense.level3,
+                },
+            }
+            for arc in graph.arcs
+        ],
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 READERS = {"conll": _read_conll, "csv": _read_csv, "json": _read_json}

@@ -15,7 +15,8 @@ message once the five intended message changes are allowed for:
 5. the two-column field-count message ends in ``, got M``.
 
 A fixed graph is checked against every one of its variants, and random
-graphs against one variant each.
+graphs against one variant each. The json writer, which builds its text
+directly, must write the bytes of the seed's ``json.dumps`` writer.
 """
 
 import copy
@@ -25,7 +26,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import seed_formats as seed
 from discodep import DependencyArc, DependencyGraph, GraphFlavor, MetricsRecord, SenseTag
@@ -50,17 +51,25 @@ FIXED = DependencyGraph(
 )
 
 
+_senses = st.lists(_word, min_size=1, max_size=3).map(lambda levels: SenseTag(*levels))
+
+# text that json escapes: quotes, backslashes, control characters, U+2028,
+# non-ASCII and non-BMP characters, and a lone surrogate as a file stem
+# decoded with surrogateescape holds
+_json_text = st.text(st.sampled_from('a."\\\x00\x1f\t\n\x7f\u2028é\U0001f600\udcff') | st.characters(), max_size=6)
+_json_level = st.none() | st.just("") | _json_text
+
+
 @st.composite
-def graphs(draw):
+def graphs(draw, ids=_id, senses=_senses):
     n = draw(st.integers(0, 8))
     arcs = []
     for dependent in range(1, n + 1):
         if draw(st.booleans()):
             head = draw(st.integers(0, n).filter(lambda h, d=dependent: h != d))
-            levels = draw(st.lists(_word, min_size=1, max_size=3))
-            arcs.append(DependencyArc(dependent, head, SenseTag(*levels)))
+            arcs.append(DependencyArc(dependent, head, draw(senses)))
     flavor = draw(st.sampled_from(GraphFlavor))
-    return DependencyGraph(draw(_id), n, tuple(arcs), flavor)
+    return DependencyGraph(draw(ids), n, tuple(arcs), flavor)
 
 
 def line_variants(text: str, sep: str) -> list[str]:
@@ -180,6 +189,20 @@ def test_text_dependency_readers_match_seed(data, graph, fmt):
 def test_json_reader_matches_seed(data, graph, ending):
     payload = json.loads(write_dep(graph, "json"))
     check_json(json_text(payload, *data.draw(st.sampled_from(json_edits(payload))), ending))
+
+
+def _arcs(*arcs):
+    return tuple(DependencyArc(d, h, SenseTag(*levels)) for d, h, levels in arcs)
+
+
+@example(graph=DependencyGraph("", 0, (), GraphFlavor.LOCAL_FOREST))
+@example(graph=DependencyGraph("d", 4, (), GraphFlavor.ROOTED_TREE))
+@example(graph=DependencyGraph('é"\n x', 3, _arcs((1, 0, ("ROOT",)), (2, 1, ("a\\b", "ü", "\t"))), GraphFlavor.ROOTED_TREE))
+@example(graph=DependencyGraph("d", 3, _arcs((1, 3, ("a", None, "c")), (1, 3, ("a", "", "c")), (2, 0, ("", None, ""))),
+                               GraphFlavor.LOCAL_FOREST))
+@given(graph=graphs(_json_text, st.builds(SenseTag, _json_text, _json_level, _json_level)))
+def test_json_writer_matches_seed(graph):
+    assert write_dep(graph, "json") == seed._write_json(graph)
 
 
 @st.composite

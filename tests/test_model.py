@@ -113,6 +113,25 @@ class TestDependencyArc:
             assert read_dep(write_dep(graph, fmt), fmt) == graph
 
 
+class TestDependencyGraph:
+    @pytest.mark.parametrize(
+        "first, second, fmts",
+        [
+            (SenseTag.parse("a..c"), SenseTag("a", "c"), ("csv", "json")),
+            (SenseTag("a.b"), SenseTag("a", "b"), ("csv", "json")),
+            # csv writes an absent level as "", so it refuses a level ""
+            (SenseTag("a", "", "c"), SenseTag("a", None, "c"), ("json",)),
+        ],
+    )
+    def test_arcs_whose_senses_print_alike_have_one_order(self, first, second, fmts):
+        assert first != second and str(first) == str(second)
+        arcs = [DependencyArc(1, 2, first), DependencyArc(1, 2, second)]
+        one, other = forest(2, arcs), forest(2, arcs[::-1])
+        assert one == other
+        for fmt in fmts:
+            assert write_dep(one, fmt) == write_dep(other, fmt)
+
+
 class TestValidateGraph:
     def test_wsj_graph_is_clean(self, wsj_graph):
         assert validate_graph(wsj_graph) == []

@@ -1,10 +1,14 @@
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from discodep import ColumnMap, RelationKind, Span
 from discodep.pdtb import (
     MalformedSpan,
     ShortLine,
     UnknownKind,
+    _parse_span_list,
     parse_relation_file,
     parse_relation_line,
     parse_relation_text,
@@ -72,10 +76,42 @@ def test_unknown_kind_raises():
         parse_relation_line(bad)
 
 
+def test_kind_is_matched_exactly_after_stripping():
+    rest = EXPLICIT_WHEN[len("Explicit") :]
+    assert parse_relation_line(" Explicit " + rest).kind is RelationKind.EXPLICIT
+    _, diagnostics = parse_relation_text("explicit" + rest, doc_id="wsj_0618")
+    assert [str(d) for d in diagnostics] == ["[UnknownKind] wsj_0618:line 1: unknown relation kind 'explicit'"]
+
+
+@pytest.mark.parametrize("kind", RelationKind)
+def test_every_relation_kind_is_read(kind):
+    assert parse_relation_line(kind.value + EXPLICIT_WHEN[len("Explicit") :]).kind is kind
+
+
 def test_malformed_span_raises():
     bad = EXPLICIT_WHEN.replace("79..94", "79..x")
     with pytest.raises(MalformedSpan):
         parse_relation_line(bad)
+
+
+@given(st.text(st.sampled_from("0179.; \t\u00b2\u0661_x+-"), max_size=12))
+def test_span_list_reads_two_digit_runs_around_two_dots(token):
+    # the reading of the pattern (\d+)\.\.(\d+): a superscript is no digit,
+    # an Arabic-Indic one is
+    parts = [p.strip() for p in token.split(";") if p.strip()]
+    matches = [re.fullmatch(r"(\d+)\.\.(\d+)", p) for p in parts]
+    faults = [
+        f"bad span token {p!r}" if m is None else f"span ends before it starts: {p!r}"
+        for p, m in zip(parts, matches)
+        if m is None or int(m[2]) < int(m[1])
+    ]
+    try:
+        spans = _parse_span_list(token, 1)
+    except MalformedSpan as err:
+        assert faults and str(err) == faults[0]
+    else:
+        assert not faults
+        assert spans == tuple(Span(int(m[1]), int(m[2]) + 1) for m in matches)
 
 
 def test_link_group_captured():
