@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from pathlib import Path
@@ -10,6 +11,8 @@ from .formats import _decode, _lines, _read_text, _tab_rows
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
+# a run: one line with a tab and every next line with the same first field
+_RUN = re.compile(r"^([^\t\n]*)\t[^\n]*(?:\n\1\t[^\n]*)*", re.M)
 
 
 class EmptyAlignment(DiscodepError):
@@ -163,15 +166,21 @@ class Inventories(Mapping[str, Document]):
         return len(self._entries)
 
 
+def _numbered(chunk: str, line_no: int) -> list[tuple[int, str]]:
+    """The non-blank lines of ``chunk``, whose first line is line ``line_no``, numbered."""
+    return [(line_no + offset, line) for offset, line in enumerate(chunk.split("\n")) if line.strip()]
+
+
 def read_segmentation(
     path: str | Path, doc_ids: Collection[str] | None = None
 ) -> Mapping[str, Document]:
     """The documents of a segmentation file; with ``doc_ids``, only those.
 
     Without ``doc_ids`` every inventory is parsed and the first defect
-    raises SegmentationError, as in ``parse_segmentation``. With them, a
-    line is attributed to the document named by its stripped first field
-    and split further only if that document is wanted; each wanted
+    raises SegmentationError, as in ``parse_segmentation``. With them, one
+    pass finds each run of consecutive lines that share a first field; a
+    run belongs to the document named by that field stripped, and only the
+    lines of a wanted document's runs are split further. Each wanted
     inventory gets the same checks, and a defect in it is raised when that
     document is looked up. A defect in an unwanted inventory goes
     unnoticed. A non-comment line with no tab names no document, so it
@@ -181,13 +190,29 @@ def read_segmentation(
     if doc_ids is None:
         return _documents(_lines(text))
     wanted: dict[str, list[tuple[int, str]]] = {}
-    for line_no, line in _lines(text):
-        first, tab, _ = line.partition("\t")
-        if not tab:
-            if not line.lstrip().startswith("#"):
-                _documents([(line_no, line)])  # raises the row check's field-count error
-        elif first.strip() in doc_ids:
-            wanted.setdefault(first.strip(), []).append((line_no, line))
+    counted, line_no = 0, 1  # text[counted] is on line line_no
+
+    def line_at(pos: int) -> int:
+        nonlocal counted, line_no
+        line_no += text.count("\n", counted, pos)
+        counted = pos
+        return line_no
+
+    # a line between runs has no tab, so unless blank or a comment it names
+    # no document and _documents raises the row check's field-count error
+    end = 0  # of the previous run
+    for run in _RUN.finditer(text):
+        start = run.start()
+        if text[end:start].strip():
+            _documents(_numbered(text[end:start], line_at(end)))
+        doc_id = run[1].strip()
+        if doc_id in doc_ids:
+            lines = _numbered(run[0], line_at(start))
+            if lines:  # a run of blank lines names no document
+                wanted.setdefault(doc_id, []).extend(lines)
+        end = run.end()
+    if text[end:].strip():
+        _documents(_numbered(text[end:], line_at(end)))
     entries: dict[str, Document | SegmentationError] = {}
     for doc_id, lines in wanted.items():
         try:

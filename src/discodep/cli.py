@@ -89,7 +89,9 @@ def _convert_all(args, one, files: list[Path]) -> int:
             (out_dir / f"{path.stem}.{args.format}").write_bytes(payload)
     diagnostics.sort(key=lambda d: (d.doc_id or "", d.line_no or 0, d.code, d.message))
     lines = [str(d) for d in diagnostics]
-    (out_dir / "diagnostics.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    # a doc_id from a file stem that is not UTF-8 is written as that stem's bytes
+    text = "".join(line + "\n" for line in lines)
+    (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
     for line in lines:
         log.info("%s", line)
     if failed or (diagnostics and args.strict):

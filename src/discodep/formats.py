@@ -81,19 +81,33 @@ def _sense_fields(sense: SenseTag) -> tuple[str, str, str]:
     return (sense.level1, sense.level2 or "", sense.level3 or "")
 
 
-def _check_writable(graph: DependencyGraph, fmt: str, breaks: frozenset[str], absent: tuple[str, ...]) -> None:
-    """Refuse a graph that the ``fmt`` reader would read back differently.
+def _utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, that is, holds no lone surrogate
+    (as a file stem that is not UTF-8 does, decoded with surrogateescape)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
-    That is a doc_id comment with a line break or outer whitespace, a sense
-    level holding one of ``breaks``, or a level2/level3 whose cell reads as
-    one of the ``absent`` ones.
+
+def _check_writable(graph: DependencyGraph, fmt: str, breaks: frozenset[str], absent: tuple[str, ...]) -> None:
+    """Refuse a graph that the ``fmt`` writer cannot encode or its reader
+    would read back differently.
+
+    That is a doc_id or sense level that is not UTF-8, a doc_id comment
+    with a line break or outer whitespace, a sense level holding one of
+    ``breaks``, or a level2/level3 whose cell reads as one of the
+    ``absent`` ones.
     """
     doc_id = graph.doc_id
-    if doc_id != doc_id.strip() or not _LINE_BREAKS.isdisjoint(doc_id):
+    if doc_id != doc_id.strip() or not _LINE_BREAKS.isdisjoint(doc_id) or not _utf8(doc_id):
         raise FormatError(f"{fmt} cannot represent doc_id {doc_id!r}")
     for levels in {(s.level1, s.level2, s.level3) for s in map(attrgetter("sense"), graph.arcs)}:
         for key, level in zip(("level1", "level2", "level3"), levels):
-            if level is not None and (not breaks.isdisjoint(level) or key != "level1" and level in absent):
+            if level is not None and (
+                not breaks.isdisjoint(level) or key != "level1" and level in absent or not _utf8(level)
+            ):
                 raise FormatError(f"{fmt} cannot represent sense {key} {level!r}")
 
 

@@ -1,16 +1,21 @@
-"""The first, full-scan PDTB alignment, kept as a differential oracle.
+"""The first PDTB alignment and segmentation reader, kept as differential oracles.
 
 ``map_span_set`` tests every EDU of the document against the merged span
 set, and ``resolve_span_set`` rescans every EDU for the fallback. The
-library replaced both with one bounded sweep per argument; the property
-tests in ``test_align_oracle.py`` check that both give the same results.
+library replaced both with one bounded sweep per argument.
+``read_segmentation`` with ``doc_ids`` partitions every line of the file
+in a Python loop; the library finds runs of lines that share a first field
+with one regex instead. The property tests in ``test_align_oracle.py``
+check that each pair gives the same results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Mapping
+from pathlib import Path
 
-from discodep.align import DEFAULT_THETA, EmptyAlignment, _merge
+from discodep.align import DEFAULT_THETA, EmptyAlignment, Inventories, SegmentationError, _documents, _merge
+from discodep.formats import _lines, _read_text
 from discodep.model import Diagnostic, Document, Span
 
 
@@ -62,3 +67,22 @@ def resolve_span_set(
             )
         )
     return {best_index}
+
+
+def read_segmentation(path: str | Path, doc_ids: Collection[str]) -> Mapping[str, Document]:
+    text = _read_text(path)
+    wanted: dict[str, list[tuple[int, str]]] = {}
+    for line_no, line in _lines(text):
+        first, tab, _ = line.partition("\t")
+        if not tab:
+            if not line.lstrip().startswith("#"):
+                _documents([(line_no, line)])  # raises the row check's field-count error
+        elif first.strip() in doc_ids:
+            wanted.setdefault(first.strip(), []).append((line_no, line))
+    entries: dict[str, Document | SegmentationError] = {}
+    for doc_id, lines in wanted.items():
+        try:
+            entries.update(_documents(lines))
+        except SegmentationError as err:
+            entries[doc_id] = err
+    return Inventories(entries)

@@ -1,13 +1,14 @@
-"""Differential tests: the bounded alignment sweep against the full-scan seed."""
+"""Differential tests: the bounded alignment sweep against the full-scan
+seed, and the run-wise segmentation reader against the line-wise seed."""
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import seed_align
-from discodep import Document, Span, map_span_set, resolve_span_set
-from discodep.align import EmptyAlignment
+from discodep import Document, Span, map_span_set, read_segmentation, resolve_span_set
+from discodep.align import EmptyAlignment, write_segmentation
 
 
 @st.composite
@@ -114,3 +115,97 @@ def test_sweep_touches_only_the_edus_of_the_argument(monkeypatch, argument_span)
     assert calls <= 4
     assert units == ({501, 502} if len(argument_span) == 20 else {501})
     assert len(diagnostics) == (len(argument_span) != 20)
+
+
+# first fields naming documents "a", "b", "" and "#c", some with outer whitespace
+_FIELDS = ["a", " a", "a\x0c", "\x1ca ", "b", "b", "", " ", "#c", " #c", "\ufeffa"]
+_NOISE = [
+    "", " ", "\x0c", "\x1c", " \x1c\x0c", "\x85",  # blank
+    "\t", " \t\t ", "\x0c\t\x1c",  # tab only
+    "# note", "# a\t1\t0\t5", " #\tx", "#",  # comments, some with tabs
+    "junk", "a 1 0 5", "a\u2028b",  # no tab
+    "a\t1\t0", "a\t1\t0\t5\t", "b\t1\t0\tx", "b\t1\t-1\t4",  # bad rows
+]
+
+
+@st.composite
+def segmentation_texts(draw):
+    """Bytes of a segmentation file: rows of a few documents, some
+    interleaved, mostly contiguous, with noise lines anywhere, LF or CRLF
+    line ends, an optional final newline and an optional byte-order mark."""
+    counts: dict[str, int] = {}
+    lines = []
+    for is_row in draw(st.lists(st.integers(0, 3).map(bool), max_size=24)):
+        if not is_row:
+            lines.append(draw(st.sampled_from(_NOISE)))
+            continue
+        field = draw(st.sampled_from(_FIELDS))
+        index = counts.get(field.strip(), 0) + 1
+        if draw(st.integers(0, 7)) == 0:
+            index = draw(st.integers(0, 3))
+        counts[field.strip()] = index
+        lines.append(f"{field}\t{index}\t{10 * index}\t{10 * index + 5}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+_WANTED = st.sets(st.sampled_from(["a", "b", "", "#c", "\ufeffa", " a", "z"]))
+
+
+def _outcome(read, path, wanted):
+    """(doc_id, document or error class and message) of each read inventory,
+    in order, or the class and message of the error the read raised."""
+    try:
+        inventories = read(path, wanted)
+    except Exception as err:
+        return type(err), str(err)
+    entries = []
+    for doc_id in inventories:
+        try:
+            entries.append((doc_id, inventories[doc_id]))
+        except Exception as err:
+            entries.append((doc_id, type(err), str(err)))
+    return entries
+
+
+@pytest.fixture(scope="module")
+def seg_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("seg") / "corpus.seg"
+
+
+@given(data=segmentation_texts(), wanted=_WANTED)
+@example(data=b"junk\na\t1\t0\t5\n", wanted={"a"})  # tab-less first line
+@example(data=b"a\t1\t0\t5\n\n\njunk", wanted=set())  # tab-less last line, no final newline
+@example(data=b"a\t1\t0\t5\r\n\r\na\t2\t6\tx\r\n", wanted={"a"})  # line numbers past a blank line
+@example(data=b"b\t1\t0\t5\n\nb\t2\t9\t9\n", wanted={"b"})  # a bad span names its line
+@example(data=b"a\t1\t0\t5\n a\t2\t6\t9\n\x0ca\t3\t9\t12\n", wanted={"a"})  # one document, three fields
+@example(data=b"a\t1\t0\t5\nb\t1\t0\t5\na\t2\t6\t9\nb\t2\t6\t9\n", wanted={"a", "b"})  # interleaved
+@example(data=b"#c\t1\t0\t5\n\t\n\t1\t0\t5\n# a\tb\n", wanted={"#c", ""})  # comment stem, empty field
+@example(data="\ufeff\x1c\n\x0c\na\t1\t0\t5".encode(), wanted={"a"})  # BOM, whitespace-only lines
+@example(data=b"\t\na\t1\t0\t5\n\t1\t0\t5\n", wanted={"", "a"})  # a blank run names no document
+def test_run_reader_matches_line_reader(seg_path, data, wanted):
+    seg_path.write_bytes(data)
+    assert _outcome(read_segmentation, seg_path, wanted) == _outcome(seed_align.read_segmentation, seg_path, wanted)
+
+
+def test_one_200000_line_document_is_one_run(tmp_path):
+    """The regex repeats its line group 200,000 times in one match without
+    recursing or backtracking."""
+    doc = Document("d", tuple((i, Span(2 * i, 2 * i + 1)) for i in range(1, 200_001)))
+    path = tmp_path / "corpus.seg"
+    path.write_text(write_segmentation([doc]), encoding="utf-8")
+    assert dict(read_segmentation(path, {"d"})) == {"d": doc}
+
+
+def test_interleaved_documents_match_line_reader(tmp_path):
+    """2,000 documents of three EDUs, one line each in turn: every line is its own run."""
+    path = tmp_path / "corpus.seg"
+    path.write_text(
+        "".join(f"d{k}\t{i}\t{10 * i}\t{10 * i + 5}\n" for i in range(1, 4) for k in range(2000)),
+        encoding="utf-8",
+    )
+    wanted = {f"d{k}" for k in range(0, 2000, 3)}
+    docs = _outcome(read_segmentation, path, wanted)
+    assert docs == _outcome(seed_align.read_segmentation, path, wanted)
+    assert len(docs) == len(wanted) and all(doc.unit_count == 3 for _, doc in docs)

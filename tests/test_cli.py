@@ -327,6 +327,28 @@ class TestConvertRst:
             "[doc-failed]  fig2 : FormatError: conll cannot represent doc_id ' fig2 '\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["conll", "csv", "json"])
+    def test_stem_that_is_not_utf8_fails_alone(self, tmp_path, fixtures_dir, fmt):
+        # the stem decodes with surrogateescape to a doc_id that conll and csv
+        # cannot encode and json escapes; diagnostics.txt holds the stem's bytes
+        corpus = tmp_path / "rst"
+        corpus.mkdir()
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / "ok.dis")
+        shutil.copy(fixtures_dir / "fig1.dis", corpus / os.fsdecode(b"fig\xff.dis"))
+        out = tmp_path / "out"
+        refused = fmt != "json"
+        assert run("convert-rst", "--input", corpus, "--out", out, "--format", fmt) == int(refused)
+        assert (out / f"ok.{fmt}").exists()
+        written = out / os.fsdecode(b"fig\xff." + fmt.encode())
+        assert written.exists() != refused
+        if refused:
+            assert (out / "diagnostics.txt").read_bytes() == (
+                b"[doc-failed] fig\xff: FormatError: " + fmt.encode() + b" cannot represent doc_id 'fig\\udcff'\n"
+            )
+        else:
+            assert (out / "diagnostics.txt").read_bytes() == b""
+            assert read_dep(written.read_bytes(), "json").doc_id == "fig\udcff"
+
     def test_unwritable_sense_level_fails_in_conll_only(self, tmp_path, fixtures_dir):
         # "_" is conll's empty cell, so a class mapped to "_" cannot be written there
         label_map = tmp_path / "map.tsv"

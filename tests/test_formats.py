@@ -502,7 +502,7 @@ def test_two_column_field_count_names_the_count(tmp_path):
 
 
 class TestWritersRefuseWhatReadsBackDifferently:
-    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb", " d ", "d\t", " d"])
+    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb", " d ", "d\t", " d", "fig\udcff"])
     @pytest.mark.parametrize("fmt", ["conll", "csv"])
     def test_doc_id(self, fmt, doc_id):
         graph = dataclasses.replace(rooted_two_edu(), doc_id=doc_id)
@@ -521,6 +521,8 @@ class TestWritersRefuseWhatReadsBackDifferently:
             ("csv", SenseTag("x", ""), "level2", ""),
             ("csv", SenseTag("x", None, "a\rb"), "level3", "a\rb"),
             ("csv", SenseTag("a\nb"), "level1", "a\nb"),
+            ("conll", SenseTag("x", None, "\udcff"), "level3", "\udcff"),
+            ("csv", SenseTag("x\ud800"), "level1", "x\ud800"),
         ],
     )
     def test_sense_level(self, fmt, sense, key, level):
