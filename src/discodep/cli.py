@@ -25,6 +25,7 @@ from .align import read_segmentation
 from .formats import (
     FORMATS,
     FormatError,
+    _check_metrics_doc_id,
     read_dep,
     read_metrics,
     write_correlation,
@@ -159,14 +160,16 @@ def _read_dep_file(path: Path):
 
 def cmd_metrics(args) -> int:
     """Metrics of every readable file, one row per doc_id. An unreadable
-    file, or one whose doc_id an earlier file already gave, is an ``error:``
-    line on stderr and makes the run exit 1."""
+    file, one whose doc_id a metrics file cannot hold, or one whose doc_id
+    an earlier file already gave, is an ``error:`` line on stderr and makes
+    the run exit 1."""
     paths = _collect(Path(args.input), FORMATS)
     records = []
     measured_from: dict[str, Path] = {}
     for path in paths:
         try:
             record = metrics_record(_read_dep_file(path), args.mode)
+            _check_metrics_doc_id(record.doc_id)
         except Exception as err:
             print(f"error: {path}: {_failure(err)}", file=sys.stderr)
             continue

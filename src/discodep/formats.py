@@ -384,12 +384,17 @@ def _metric(cell: str, name: str) -> float | None:
     return _finite(float(cell), name) if cell else None
 
 
+def _check_metrics_doc_id(doc_id: str) -> None:
+    """Refuse a doc_id that is not UTF-8 or holds a csv line break."""
+    if not _CSV_BREAKS.isdisjoint(doc_id) or not _utf8(doc_id):
+        raise FormatError(f"metrics cannot represent doc_id {doc_id!r}")
+
+
 def write_metrics(records: list[MetricsRecord]) -> bytes:
     """Metrics CSV sorted by doc_id; undefined values become empty cells,
-    and a non-finite value or a doc_id with a line break raises FormatError."""
+    and a non-finite value or an unwritable doc_id raises FormatError."""
     for rec in records:
-        if not _CSV_BREAKS.isdisjoint(rec.doc_id):
-            raise FormatError(f"metrics cannot represent doc_id {rec.doc_id!r}")
+        _check_metrics_doc_id(rec.doc_id)
     rows = (
         (rec.doc_id, rec.unit_count, rec.arc_count, _metric_cell(rec, "mdd"), _metric_cell(rec, "sd"))
         for rec in sorted(records, key=lambda r: r.doc_id)

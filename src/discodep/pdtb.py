@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from .formats import _decode, _lines, _read_text
@@ -71,16 +71,7 @@ class ColumnMap:
         object.__setattr__(self, "last_col", max(indices))
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.kind_col,
-            self.conn_span_col,
-            self.conn1_col,
-            self.sense1_col,
-            self.conn2_col,
-            self.sense2_col,
-            self.arg1_col,
-            self.arg2_col,
-        )
+        return astuple(self)
 
     @classmethod
     def from_string(cls, spec: str) -> ColumnMap:

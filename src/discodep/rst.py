@@ -8,6 +8,7 @@ coverage declarations, (rel2par label) relation tags, and optional
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 from .formats import _decode, _read_text
@@ -44,23 +45,15 @@ class FragmentNotFound(DiscodepError):
     pass
 
 
-_TOKEN = re.compile(
-    r"""
-    \s*(?:
-      _!(?P<text>.*?)_!      # EDU text payload, non-greedy up to the closing _!
-    | (?P<open>\()
-    | (?P<close>\))
-    | (?P<atom>[^\s()]+)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_TOKEN = re.compile(r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+))")
+# the argument of a text key: up to the first closing _!, across parens and lines
+_FRAGMENT = re.compile(r"\s*_!(?P<text>.*?)_!", re.DOTALL)
 
-# One match is one whole unit, spanning exactly the tokens _TOKEN reads
+# One match is one whole unit, spanning exactly the tokens _tokenize reads
 # there: a ")" (group 1), a node header (2), or a well-formed (leaf k) (3),
 # (span a b) (4, 5), (rel2par words) (6) or (text _!fragment_!) (7) list.
-# Any other list (malformed, nested, a Promotion set, a word starting with
-# _!, a non-ASCII digit) matches none and is read token by token.
+# Any other list (malformed, nested, a Promotion set, a non-ASCII digit)
+# matches none and is read token by token.
 _UNIT = re.compile(
     r"""
     \s*(?:
@@ -69,8 +62,8 @@ _UNIT = re.compile(
         (Root|Nucleus|Satellite)(?![^\s()])
       | leaf\s+([0-9]+)\s*\)
       | span\s+([0-9]+)\s+([0-9]+)\s*\)
-      | rel2par((?:\s+(?!_!)[^\s()]+)*)\s*\)
-      | text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)  # up to the first _!, as _TOKEN reads it
+      | rel2par((?:\s+[^\s()]+)*)\s*\)
+      | text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)  # up to the first _!, as _FRAGMENT reads it
     ))
     """,
     re.VERBOSE,
@@ -80,9 +73,16 @@ _NODE_LABELS = {"Root", "Nucleus", "Satellite"}
 _NUCLEARITY = {n.value: n for n in Nuclearity}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
+    """Yield (kind, value, end) for each token from ``pos``: "open",
+    "close", "atom", or "text" for a _!fragment_! right after "(" "text"."""
+    opened = key = False  # whether the last token is "(", and "text" after one
     # every non-space character starts some alternative, so nothing is skipped
-    return [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
+    while m := key and _FRAGMENT.match(text, pos) or _TOKEN.match(text, pos):
+        kind = m.lastgroup
+        pos = m.end()
+        yield kind, m[kind], pos
+        opened, key = kind == "open", opened and m[kind] == "text"
 
 
 def _int_fields(key: str, payload: list[str], arity: int) -> list[int]:
@@ -98,20 +98,18 @@ def _read_attr(text: str, pos: int, attrs: dict) -> int:
     """Read token by token what no ``_UNIT`` alternative matches at ``pos``
     inside a node: store an attribute list and return the offset after its
     ")", or raise for anything else."""
-    tokens = _TOKEN.finditer(text, pos)
-    m = next(tokens, None)
-    if m is None:
+    tokens = _tokenize(text, pos)
+    kind, value, _ = next(tokens, ("", "", 0))
+    if not kind:
         raise UnbalancedParens("unexpected end of input inside node")
-    if m.lastgroup != "open":
-        raise DisParseError(f"unexpected token {m[m.lastgroup]!r} inside node")
-    m = next(tokens, None)
-    if m is None or m.lastgroup != "atom":
+    if kind != "open":
+        raise DisParseError(f"unexpected token {value!r} inside node")
+    kind, key, _ = next(tokens, ("", "", 0))
+    if kind != "atom":
         raise DisParseError("attribute list without a key")
-    key = m["atom"]
     payload: list[str] = []
     depth = 0
-    for m in tokens:
-        kind = m.lastgroup
+    for kind, value, end in tokens:
         if kind == "close":
             if depth == 0:
                 break
@@ -119,7 +117,7 @@ def _read_attr(text: str, pos: int, attrs: dict) -> int:
         elif kind == "open":
             depth += 1
         else:
-            payload.append(m[kind])
+            payload.append(value)
     else:
         raise UnbalancedParens(f"unterminated attribute ({key}")
     if key == "leaf":
@@ -133,7 +131,7 @@ def _read_attr(text: str, pos: int, attrs: dict) -> int:
             raise DisParseError("malformed (text): expected a fragment")
         attrs["text"] = payload[0]
     # other attributes (e.g. Promotion sets) are tolerated and dropped
-    return m.end()
+    return end
 
 
 def _unescape(fragment: str) -> str:
@@ -179,15 +177,16 @@ def _parse(text: str, doc_id: str) -> RstTree:
     match = _UNIT.match
     m = match(text)
     if m is None or m.lastindex != 2 or m[2] != "Root":
-        tokens = _tokenize(text)[:2]
-        if not tokens:
+        tokens = _tokenize(text)
+        kind, _, _ = next(tokens, ("", "", 0))
+        if not kind:
             raise DisParseError("empty input")
-        if tokens[0][0] != "open":
+        if kind != "open":
             raise UnbalancedParens("expected '(' at token 0")
-        if len(tokens) < 2 or tokens[1][0] != "atom" or tokens[1][1] not in _NODE_LABELS:
-            got = tokens[1][1] if len(tokens) > 1 else "<eof>"
-            raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {got!r}")
-        raise DisParseError(f"top-level node must be Root, got {tokens[1][1]}")
+        kind, label, _ = next(tokens, ("", "<eof>", 0))
+        if kind != "atom" or label not in _NODE_LABELS:
+            raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {label!r}")
+        raise DisParseError(f"top-level node must be Root, got {label}")
     # open nodes: (label, attributes, built (label, node, rel2par) children);
     # attrs are those of the innermost one
     attrs: dict = {}
@@ -218,7 +217,7 @@ def _parse(text: str, doc_id: str) -> RstTree:
         else:
             attrs["text"] = m[7]
     if _TOKEN.match(text, pos):
-        raise UnbalancedParens(f"trailing tokens after tree (at token {len(_tokenize(text[:pos]))})")
+        raise UnbalancedParens(f"trailing tokens after tree (at token {len([*_tokenize(text[:pos])])})")
     # degenerate single-child root wrapper: unwrap to the bare leaf
     if "leaf" not in attrs and len(children) == 1 and isinstance(children[0][1], RstLeaf):
         root = children[0][1]
@@ -249,7 +248,7 @@ def _reads_back(relation: str) -> bool:
     return (
         bool(words)
         and relation == " ".join(words)
-        and not any("(" in word or ")" in word or word.startswith("_!") for word in words)
+        and not any("(" in word or ")" in word for word in words)
     )
 
 
@@ -257,10 +256,10 @@ def pretty_print(tree: RstTree) -> str:
     """Serialize a tree back to ".dis" notation; parse_dis round-trips it.
 
     Raises ValueError for a leaf text holding ``_!``, a relation that
-    parse_dis would read back differently (empty, parenthesized, with
-    irregular whitespace or a word starting with ``_!``), an internal node
-    without a Nucleus child (as ``binarize`` makes of leading satellites),
-    or a root whose only child is a leaf (parse_dis reads the bare leaf).
+    parse_dis would read back differently (empty, parenthesized or with
+    irregular whitespace), an internal node without a Nucleus child (as
+    ``binarize`` makes of leading satellites), or a root whose only child
+    is a leaf (parse_dis reads the bare leaf).
     """
     lines: list[str] = []
     edus: list[int] = []  # leaf indices in the order they are printed

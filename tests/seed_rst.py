@@ -42,30 +42,35 @@ from discodep.rst2dep import ROOT_SENSE
 
 _TOKEN = re.compile(
     r"""
-    _!(?P<text>.*?)_!      # EDU text payload, non-greedy up to the closing _!
-  | (?P<open>\()
+    (?P<open>\()
   | (?P<close>\))
   | (?P<atom>[^\s()]+)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 _NODE_LABELS = {"Root", "Nucleus", "Satellite"}
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
+    """Tokens as (kind, value); a _!fragment_! is one "text" token only as
+    the argument of a text key, that is, right after "(" and "text"."""
     tokens = []
     pos = 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
             continue
+        if tokens[-2:] == [("open", "("), ("atom", "text")] and text.startswith("_!", pos):
+            end = text.find("_!", pos + 2)
+            if end >= 0:
+                tokens.append(("text", text[pos + 2 : end]))
+                pos = end + 2
+                continue
         m = _TOKEN.match(text, pos)
         if m is None:
             raise DisParseError(f"cannot tokenize at offset {pos}: {text[pos:pos+20]!r}")
-        if m.lastgroup == "text":
-            tokens.append(("text", m.group("text")))
-        elif m.lastgroup == "open":
+        if m.lastgroup == "open":
             tokens.append(("open", "("))
         elif m.lastgroup == "close":
             tokens.append(("close", ")"))
@@ -262,7 +267,7 @@ def token_parse_dis(text: str, doc_id: str = "") -> RstTree:
     One pass over the tokens with an explicit stack of open nodes; each
     node is built when it closes, so tree depth is not limited by recursion.
     """
-    tokens = _tokenize(text)
+    tokens = [(kind, value) for kind, value, _ in _tokenize(text)]
     if not tokens:
         raise DisParseError("empty input")
     if tokens[0][0] != "open":

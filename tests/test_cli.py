@@ -304,12 +304,12 @@ class TestConvertRst:
         corpus = tmp_path / "rst"
         corpus.mkdir()
         shutil.copy(fixtures_dir / "fig1.dis", corpus / "fig1.dis")
-        (corpus / "bad.dis").write_text("( Root ( Nucleus (leaf _!1\nx_!) ) ( Satellite (leaf 2) ) )\n")
+        (corpus / "bad\nname.dis").write_text("( Root ( Nucleus (leaf x) ) ( Satellite (leaf 2) ) )\n")
         out = tmp_path / "out"
         assert run("convert-rst", "--input", corpus, "--out", out) == 0
         assert (out / "fig1.conll").exists()
         assert (out / "diagnostics.txt").read_text() == (
-            "[dis-parse-error] bad: malformed (leaf 1\\nx): expected 1 integer(s)\n"
+            "[dis-parse-error] bad\\nname: malformed (leaf x): expected 1 integer(s)\n"
         )
 
     def test_unwritable_doc_id_fails_alone(self, tmp_path, fixtures_dir):
@@ -456,6 +456,23 @@ class TestMetricsCommand:
         assert capsys.readouterr().err == (
             f"error: {dep / 'wsj_0001.json'}: doc_id 'wsj_0001' already measured from {dep / 'wsj_0001.conll'}\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, doc_id", [(os.fsdecode(b"fig\xff.json"), "fig\udcff"), ("ab.json", "a\nb")], ids=["not-utf8", "line-break"]
+    )
+    def test_unwritable_doc_id_fails_alone(self, tmp_path, fixtures_dir, name, doc_id):
+        # a json file holds any doc_id, but a metrics row does not
+        dep = tmp_path / "dep"
+        run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--format", "json", "--out", dep)
+        graph = read_dep((dep / "fig1.json").read_bytes(), "json")
+        (dep / name).write_bytes(write_dep(dataclasses.replace(graph, doc_id=doc_id), "json"))
+        out = tmp_path / "m.csv"
+        done = run_process("metrics", "--input", dep, "--mode", "rooted", "--out", out, log_level="WARNING")
+        assert done.returncode == 1
+        assert out.read_text().splitlines()[1:] == ["fig1,11,11,3.100000,2.282786"]
+        # stderr escapes the surrogate of a file name that is not UTF-8
+        line = f"error: {dep / name}: FormatError: metrics cannot represent doc_id {doc_id!r}\n"
+        assert done.stderr == line.encode("utf-8", "backslashreplace").decode("utf-8")
 
     def test_empty_dep_file_gives_empty_cells(self, tmp_path):
         dep = tmp_path / "empty.conll"

@@ -539,7 +539,7 @@ class TestWritersRefuseWhatReadsBackDifferently:
         graph = DependencyGraph(doc_id, 2, (DependencyArc(1, 2, sense),), GraphFlavor.LOCAL_FOREST)
         assert read_dep(write_dep(graph, "json"), "json") == graph
 
-    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb"])
+    @pytest.mark.parametrize("doc_id", ["a\nb", "a\rb", "fig\udcff"])
     def test_metrics_doc_id(self, doc_id):
         with pytest.raises(FormatError) as info:
             write_metrics([MetricsRecord("a", 1, 0, None, None), MetricsRecord(doc_id, 2, 1, 1.0, None)])

@@ -1,6 +1,6 @@
 import pytest
 
-from discodep import Nuclearity, RstInternal, RstLeaf, edu_inventory_of, parse_dis, pretty_print
+from discodep import Nuclearity, RstChild, RstInternal, RstLeaf, edu_inventory_of, parse_dis, pretty_print
 from discodep import rst
 from discodep.rst import (
     FragmentNotFound,
@@ -107,6 +107,23 @@ def test_single_leaf_root_wrapper():
     tree = parse_dis("( Root (span 1 1) ( Nucleus (leaf 1) (rel2par span) (text _!all of it_!) ) )")
     assert tree.leaf_count == 1
     assert isinstance(tree.root, RstLeaf)
+
+
+def test_text_delimiter_outside_a_text_list_is_an_ordinary_character():
+    # _! opens a fragment only as the argument of a text key, so this file
+    # has two leaves, and leaf 1's relation is the word _!x
+    tree = parse_dis("( Root ( Nucleus (leaf 1) (rel2par _!x) ) ( Satellite (leaf 2) (text _!b_!) ) )")
+    assert tree.root == RstInternal(
+        (
+            RstChild(RstLeaf(1), Nuclearity.NUCLEUS, "_!x"),
+            RstChild(RstLeaf(2, "b"), Nuclearity.SATELLITE, "span"),
+        )
+    )
+
+
+def test_a_text_fragment_may_hold_parentheses():
+    tree = parse_dis("( Root ( Nucleus (leaf 1) ( text _!a (b)_!) ) ( Satellite (leaf 2) ) )")
+    assert tree.root.children[0].node == RstLeaf(1, "a (b)")
 
 
 def test_byte_order_mark_is_skipped(tmp_path):
