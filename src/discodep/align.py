@@ -25,7 +25,7 @@ class SegmentationError(DiscodepError):
 
 def _merge(spans: Iterable[Span]) -> tuple[Span, ...]:
     """Union of spans as disjoint intervals, so overlap is never double-counted."""
-    ordered = sorted(spans, key=lambda s: (s.start, s.end))
+    ordered = sorted(spans)
     merged: list[Span] = []
     for span in ordered:
         if merged and span.start <= merged[-1].end:
@@ -34,10 +34,6 @@ def _merge(spans: Iterable[Span]) -> tuple[Span, ...]:
         else:
             merged.append(span)
     return tuple(merged)
-
-
-def _edu_end(edu: tuple[int, Span]) -> int:
-    return edu[1].end
 
 
 def _align(
@@ -51,12 +47,12 @@ def _align(
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    edus = doc.edus
+    edus, ends = doc.edus, doc._edu_ends
     n = len(edus)
     covered: dict[int, int] = {}
     for span in _merge(spans):
         start, end = span.start, span.end
-        pos = bisect_right(edus, start, key=_edu_end)
+        pos = bisect_right(ends, start)
         while pos < n:
             index, edu = edus[pos]
             edu_start, edu_end = edu.start, edu.end

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -170,12 +171,14 @@ def _tab_rows(lines: Iterable[tuple[int, str]], width: int, error: type[Exceptio
         yield line_no, *map(str.strip, fields)
 
 
-def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
+def _split_comments(text: str) -> tuple[dict, dict[str, int], list[tuple[int, str]]]:
     """Split ``# key = value`` comments from the other non-blank lines.
 
-    Only doc_id, unit_count and flavor are kept, parsed to their types.
+    Only doc_id, unit_count and flavor are kept, parsed to their types,
+    each with the number of the line it was last read from.
     """
     meta: dict = {}
+    where: dict[str, int] = {}
     body: list[tuple[int, str]] = []
     for line_no, line in _lines(text):
         if not line.startswith("#"):
@@ -185,7 +188,8 @@ def _split_comments(text: str) -> tuple[dict, list[tuple[int, str]]]:
         key, value = key.strip(), value.strip()
         if sep and key in _HEADER_FIELDS:
             meta[key] = _header_field(key, value, f"line {line_no}: ")
-    return meta, body
+            where[key] = line_no
+    return meta, where, body
 
 
 def _json_int(value) -> int:
@@ -247,8 +251,15 @@ def _conll_rows(body: list[tuple[int, str]]):
 
 
 def _read_conll(text: str) -> DependencyGraph:
-    meta, body = _split_comments(text)
-    return _graph(meta, _conll_rows(body), len(body))
+    """A conll file lists every unit, so a ``# unit_count`` comment must
+    agree with its rows, which are checked first."""
+    meta, where, body = _split_comments(text)
+    graph = _graph(meta, _conll_rows(body), len(body))
+    if meta.get("unit_count", len(body)) != len(body):
+        raise FormatError(
+            f"line {where['unit_count']}: unit_count {meta['unit_count']} disagrees with {len(body)} unit rows"
+        )
+    return graph
 
 
 def _csv_bytes(header: tuple[str, ...], rows, preamble: str = "") -> bytes:
@@ -301,7 +312,7 @@ def _write_csv(graph: DependencyGraph) -> bytes:
 
 
 def _read_csv(text: str) -> DependencyGraph:
-    meta, body = _split_comments(text)
+    meta, _, body = _split_comments(text)
     rows = (
         (line_no, dependent, head, distance or None, (level1, level2 or None, level3 or None))
         for line_no, (dependent, head, distance, level1, level2, level3) in _csv_rows(body, _CSV_HEADER)
@@ -314,23 +325,25 @@ def _json_value(value) -> str:
 
 
 # one arc of the arcs list at json.dumps(..., indent=2) nesting: dependent,
-# head and distance, then the sense block, which _write_json builds once per SenseTag
+# head and distance, then the sense block, which _json_sense builds once per SenseTag
 _JSON_ARC = '    {{\n      "dependent": {},\n      "head": {},\n      "distance": {},\n{}'
 _JSON_SENSE = '      "sense": {{\n        "level1": {},\n        "level2": {},\n        "level3": {}\n      }}\n    }}'
+
+
+@lru_cache(maxsize=1024)
+def _json_sense(sense: SenseTag) -> str:
+    return _JSON_SENSE.format(*map(_json_value, (sense.level1, sense.level2, sense.level3)))
 
 
 def _write_json(graph: DependencyGraph) -> bytes:
     """The bytes of ``json.dumps(payload, indent=2) + "\\n"``, built directly:
     keys in a fixed order, strings with ASCII escapes, None as ``null``."""
-    blocks: dict[SenseTag, str] = {}
     arcs = []
     for arc in graph.arcs:
-        sense, distance = arc.sense, arc.distance
-        block = blocks.get(sense)
-        if block is None:
-            levels = (sense.level1, sense.level2, sense.level3)
-            block = blocks[sense] = _JSON_SENSE.format(*map(_json_value, levels))
-        arcs.append(_JSON_ARC.format(arc.dependent, arc.head, "null" if distance is None else distance, block))
+        distance = arc.distance
+        arcs.append(
+            _JSON_ARC.format(arc.dependent, arc.head, "null" if distance is None else distance, _json_sense(arc.sense))
+        )
     listed = "[\n" + ",\n".join(arcs) + "\n  ]" if arcs else "[]"
     text = (
         f'{{\n  "doc_id": {json.dumps(graph.doc_id)},\n  "unit_count": {graph.unit_count},\n'

@@ -9,6 +9,7 @@ import enum
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 ROOT = 0  # pseudo-head index for root arcs; EDU indices are 1-based
 
@@ -89,6 +90,13 @@ class Document:
 
     def span_of(self, index: int) -> Span:
         return self.edus[index - 1][1]
+
+    @cached_property
+    def _edu_ends(self) -> tuple[int, ...]:
+        """End offset of each EDU in order, built on first use: ascending,
+        so ``bisect`` finds the EDU a position falls in. Not a field, so
+        equality, hash and repr ignore it."""
+        return tuple(span.end for _, span in self.edus)
 
 
 @dataclass(frozen=True)
@@ -273,14 +281,16 @@ class DependencyGraph:
 
 
 def _arc_order(arc: DependencyArc) -> tuple:
-    """Dependent, head and printed sense; then each sense level, absent
-    after any string, which separates two unequal senses that print alike
-    (``SenseTag.parse("a..c")`` and ``SenseTag.parse("a.c")``, or a level
-    None and one "")."""
-    s = arc.sense
+    """Dependent, head, then the sense's order key."""
+    return arc.dependent, arc.head, _sense_order(arc.sense)
+
+
+@lru_cache(maxsize=1024)
+def _sense_order(s: SenseTag) -> tuple:
+    """Printed sense; then each level, absent after any string, which
+    separates two unequal senses that print alike (``SenseTag.parse("a..c")``
+    and ``SenseTag.parse("a.c")``, or a level None and one "")."""
     return (
-        arc.dependent,
-        arc.head,
         str(s),
         s.level1 is None, s.level1 or "",
         s.level2 is None, s.level2 or "",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .formats import _decode, _lines, _read_text
@@ -19,6 +20,8 @@ from .model import (
 
 _LINK_TOKEN = re.compile(r"LINK\d+", re.IGNORECASE)
 _KINDS = {kind.value: kind for kind in RelationKind}
+# one SenseTag per distinct tag string; a bad tag raises on every call
+_sense = lru_cache(maxsize=1024)(SenseTag.parse)
 
 
 class PdtbParseError(DiscodepError):
@@ -131,10 +134,10 @@ def parse_relation_line(
     for col in (columns.sense1_col, columns.sense2_col):
         token = fields[col].strip()
         if token:
-            senses.append(SenseTag.parse(token))
+            senses.append(_sense(token))
     if not senses:
         if kind in SENSELESS_KINDS:
-            senses.append(SenseTag(kind.value))
+            senses.append(_sense(kind.value))
         else:
             raise MissingSense(f"{kind.value} relation carries no sense tag", line_no)
 
@@ -150,11 +153,14 @@ def parse_relation_line(
         connective = token or None
 
     link_group = None
-    for token in reversed(fields[needed + 1 :]):
-        token = token.strip()
-        if token and _LINK_TOKEN.fullmatch(token):
-            link_group = token.upper()
-            break
+    trailing = fields[needed + 1 :]
+    # a field that is a link token holds a match, so most lines skip the loop
+    if _LINK_TOKEN.search("|".join(trailing)):
+        for token in reversed(trailing):
+            token = token.strip()
+            if token and _LINK_TOKEN.fullmatch(token):
+                link_group = token.upper()
+                break
 
     return PdtbRelation(
         kind=kind,

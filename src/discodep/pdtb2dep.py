@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .align import DEFAULT_THETA, EmptyAlignment, resolve_span_set
@@ -54,6 +55,7 @@ class SymmetryVerdict:
 SYMMETRIC = SymmetryVerdict()
 
 
+@lru_cache(maxsize=1024)
 def sense_symmetry(tag: SenseTag) -> SymmetryVerdict:
     """Classify a sense tag by its level-3 ``ArgN-as-`` prefix.
 
@@ -82,10 +84,13 @@ def head_of_constituent(units: set[int], arcs_so_far: list[tuple[int, int]]) -> 
 
 def _constituent_head(units: set[int], heads: dict[int, list[int]]) -> int:
     # the last unit with no head inside the set, found in set size times
-    # unit degree; the last unit when every one has such a head
+    # unit degree; the last unit when every one has such a head, so a
+    # single unit heads itself
+    if len(units) == 1:
+        return next(iter(units))
     if not units:
         raise ValueError("empty constituent")
-    candidates = [u for u in units if not any(h in units for h in heads.get(u, ()))]
+    candidates = [u for u in units if units.isdisjoint(heads.get(u, ()))]
     return max(candidates) if candidates else max(units)
 
 
@@ -127,8 +132,11 @@ def convert_pdtb(
     EDU sets intersect are reported and skipped. ``flip_directions``
     swaps head and dependent on every emitted arc (constituent
     resolution still uses the canonical directions), which leaves the
-    distance multiset unchanged.
+    distance multiset unchanged. A ``theta`` outside (0, 1] raises
+    ValueError, whether or not there are relations.
     """
+    if not 0 < theta <= 1:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
     if head_rules is None:
         head_rules = DEFAULT_HEAD_RULES
     diagnostics: list[Diagnostic] = []
@@ -184,8 +192,9 @@ def convert_pdtb(
             continue
         aligned.append((rel, units1, units2))
 
-    # innermost constituents first; the stable sort keeps file order on ties
-    aligned.sort(key=lambda item: len(item[1] | item[2]))
+    # innermost constituents first (the argument sets are disjoint); the
+    # stable sort keeps file order on ties
+    aligned.sort(key=lambda item: len(item[1]) + len(item[2]))
 
     heads: dict[int, list[int]] = {}  # dependent -> canonical heads so far
     arcs: list[DependencyArc] = []

@@ -83,13 +83,17 @@ def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
     or with ``cascade`` a child ``0 < i < h`` to the first child's head.
     The root's head takes the root arc."""
     arcs: list[DependencyArc] = []
+    senses: dict[str, SenseTag] = {}  # one per relation label in the tree
 
     def attach(node: RstInternal, child_heads: list[int]) -> int:
         h = _head_child(node.children)
         for i, (child, child_head) in enumerate(zip(node.children, child_heads)):
             head = child_heads[0 if cascade and 0 < i < h else h]
             if child_head != head:
-                arcs.append(DependencyArc(child_head, head, SenseTag(child.relation)))
+                sense = senses.get(child.relation)
+                if sense is None:
+                    sense = senses[child.relation] = SenseTag(child.relation)
+                arcs.append(DependencyArc(child_head, head, sense))
         return child_heads[h]
 
     root_head = _fold(tree.root, lambda leaf: leaf.edu_index, attach)

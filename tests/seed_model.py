@@ -10,6 +10,9 @@ find the same cycle units. Use it on small graphs only.
 per-unit indexes (a dependents counter, a root-arc list, a headless set and
 a heads dict) before ``model._by_dependent`` became the one table; they
 exempt a dependent equal to ROOT from the range check.
+
+``_arc_order`` is the canonical arc sort key that built its sense part for
+every arc; ``model._arc_order`` takes that part from a memo per sense.
 """
 
 from __future__ import annotations
@@ -182,3 +185,19 @@ def validate_graph(graph: DependencyGraph) -> list[Diagnostic]:
                 )
             )
     return diags
+
+
+def _arc_order(arc: DependencyArc) -> tuple:
+    """Dependent, head and printed sense; then each sense level, absent
+    after any string, which separates two unequal senses that print alike
+    (``SenseTag.parse("a..c")`` and ``SenseTag.parse("a.c")``, or a level
+    None and one "")."""
+    s = arc.sense
+    return (
+        arc.dependent,
+        arc.head,
+        str(s),
+        s.level1 is None, s.level1 or "",
+        s.level2 is None, s.level2 or "",
+        s.level3 is None, s.level3 or "",
+    )

@@ -1,6 +1,11 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+import seed_align
 from discodep import Document, Span, map_span_set, read_segmentation, resolve_span_set
 from discodep.align import EmptyAlignment, SegmentationError, parse_segmentation, write_segmentation
 
@@ -45,6 +50,36 @@ def test_theta_bounds(doc):
         map_span_set([Span(0, 10)], doc, theta=0.0)
     with pytest.raises(ValueError):
         map_span_set([Span(0, 10)], doc, theta=1.5)
+
+
+def _resolved(resolve, span: Span, doc: Document):
+    diagnostics = []
+    try:
+        return resolve([span], doc, 0.5, diagnostics), diagnostics
+    except EmptyAlignment as err:
+        return str(err)
+
+
+def test_copied_documents_align_like_fresh_ones(doc):
+    """The EDU end index a document builds on its first alignment is no
+    field: equality, hash and repr ignore it, and a replaced, unpickled or
+    deep-copied document aligns as the first alignment code aligns one
+    built from its EDUs."""
+    fresh = Document("d", doc.edus)
+    map_span_set([Span(0, 1)], doc)  # builds the index
+    assert (doc, hash(doc), repr(doc)) == (fresh, hash(fresh), repr(fresh))
+    other = ((1, Span(0, 30)), (2, Span(30, 200)))
+    copies = [
+        (dataclasses.replace(doc), fresh),
+        (dataclasses.replace(doc, edus=other), Document("d", other)),
+        (pickle.loads(pickle.dumps(doc)), fresh),
+        (copy.deepcopy(doc), fresh),
+    ]
+    spans = [Span(a, b) for a in range(0, 270, 5) for b in range(a + 1, 275, 7)]
+    for copied, reference in copies:
+        assert copied == reference
+        for span in spans:
+            assert _resolved(resolve_span_set, span, copied) == _resolved(seed_align.resolve_span_set, span, reference)
 
 
 def test_overlapping_spans_in_one_argument_not_double_counted(doc):

@@ -190,6 +190,15 @@ class TestReadDep:
         with pytest.raises(FormatError, match="line 2: bad distance 'far'"):
             read_dep(text, fmt)
 
+    def test_conll_unit_count_comment_must_match_rows(self):
+        rows = "1\t2\tx\t_\t_\t1\n2\t_\t_\t_\t_\t_\n"
+        assert read_dep(f"# doc_id = d\n# unit_count = 2\n{rows}", "conll").unit_count == 2
+        assert read_dep("# unit_count = 0\n", "conll").unit_count == 0
+        with pytest.raises(FormatError, match="^line 2: unit_count 3 disagrees with 2 unit rows$"):
+            read_dep(f"# doc_id = d\n# unit_count = 3\n{rows}", "conll")
+        with pytest.raises(FormatError, match="^line 1: unit_count 7 disagrees with 0 unit rows$"):
+            read_dep("# unit_count = 7\n", "conll")
+
     def test_conll_out_of_order_units_rejected(self):
         text = "2\t_\t_\t_\t_\t_\n1\t_\t_\t_\t_\t_\n"
         with pytest.raises(FormatError, match="1..n in order"):

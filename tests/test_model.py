@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seed_model
 from discodep import (
@@ -17,7 +17,7 @@ from discodep import (
     write_dep,
 )
 from discodep.formats import FORMATS
-from discodep.model import ROOT, _by_dependent, _cycles
+from discodep.model import ROOT, _arc_order, _by_dependent, _cycles
 
 
 def arc(dep, head, l1="Expansion", l2="Conjunction"):
@@ -245,3 +245,22 @@ def test_validate_graph_matches_seed_validator(graph):
     if zero_dependents:
         old = [d for d in old if d.code != "arc-count"]
     assert [d for d in new if d not in added] == old
+
+
+# absent, empty and dotted levels, so that unequal senses print alike
+_LEVELS = st.sampled_from([None, "", "a", "a.", ".b"])
+_ANY_SENSE = st.builds(SenseTag, _LEVELS, _LEVELS, _LEVELS)
+
+
+@given(st.lists(st.tuples(st.integers(1, 2), st.integers(0, 1), _ANY_SENSE), max_size=8))
+@example([(1, 0, SenseTag(*levels)) for levels in [(None, "a"), ("", "a"), ("a", None, "c"), ("a", "c")]])
+@example([(1, 0, SenseTag(*levels)) for levels in [("a.b",), ("a", "b"), ("a", "", None), ("a", "", "")]])
+def test_arc_order_compares_as_seed_key(triples):
+    """The key with the memoized sense part orders every pair of arcs as the
+    key that built the whole tuple per arc."""
+    arcs = [DependencyArc(*t) for t in triples if t[0] != t[1]]
+    for a in arcs:
+        for b in arcs:
+            new, old = (_arc_order(a), _arc_order(b)), (seed_model._arc_order(a), seed_model._arc_order(b))
+            assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1])
+    assert sorted(arcs, key=_arc_order) == sorted(arcs, key=seed_model._arc_order)

@@ -126,6 +126,12 @@ class TestConvertPdtb:
         graph, diagnostics = convert_pdtb(two_edu_doc(), [])
         assert graph.arcs == () and diagnostics == []
 
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5, 5.0, float("nan")])
+    @pytest.mark.parametrize("relations", [[], [rel(RelationKind.IMPLICIT, CONJ, [Span(0, 10)], [Span(10, 20)])]])
+    def test_theta_outside_unit_interval_rejected_on_entry(self, theta, relations):
+        with pytest.raises(ValueError, match=r"theta must be in \(0, 1\]"):
+            convert_pdtb(two_edu_doc(), relations, theta=theta)
+
     def test_norel_dropped(self):
         norel = PdtbRelation(
             kind=RelationKind.NOREL,

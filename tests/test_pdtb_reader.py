@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from discodep import ColumnMap, RelationKind, Span
 from discodep.pdtb import (
+    DEFAULT_COLUMNS,
     MalformedSpan,
     ShortLine,
     UnknownKind,
+    _LINK_TOKEN,
     _parse_span_list,
     parse_relation_file,
     parse_relation_line,
@@ -121,6 +123,50 @@ def test_link_group_captured():
     )
     rel = parse_relation_line(line)
     assert rel.link_group == "LINK1"
+
+
+LINK_LINE = "Implicit|||||||so|Contingency.Cause.Result||||||1291..1374||||||1375..1412|||||||||||1375|PDTB3|"
+
+
+def old_link_group(line: str) -> str | None:
+    """The link group as read by the loop over every trailing field."""
+    for token in reversed(line.rstrip("\n").split("|")[DEFAULT_COLUMNS.last_col + 1 :]):
+        token = token.strip()
+        if token and _LINK_TOKEN.fullmatch(token):
+            return token.upper()
+    return None
+
+
+@pytest.mark.parametrize(
+    "tail, group",
+    [
+        ("LİNK1", "LİNK1"),  # dotted capital I: matches ignoring case, but is not "link" when lowered
+        ("lınk1", "LINK1"),  # dotless small i
+        (" link7 ", "LINK7"),
+        ("xLINK1", None),
+        ("LI|NK1", None),  # a token split by a field boundary
+        ("LINK1|xLINK2", "LINK1"),
+        ("LINK", None),
+    ],
+)
+def test_link_group_as_the_old_loop_reads_it(tail, group):
+    line = LINK_LINE + tail
+    assert parse_relation_line(line).link_group == old_link_group(line) == group
+
+
+@given(st.text(st.sampled_from("LINKlinkİı17x |\n"), max_size=16))
+def test_link_group_matches_the_old_loop(tail):
+    line = LINK_LINE + tail
+    assert parse_relation_line(line).link_group == old_link_group(line)
+
+
+def test_each_bad_sense_line_gets_its_own_diagnostic():
+    bad = EXPLICIT_WHEN.replace("Contingency.Condition.Arg2-as-cond", "a.b.c.d")
+    relations, diagnostics = parse_relation_text(bad + "\n" + bad)
+    assert relations == []
+    assert [(d.code, d.message, d.line_no) for d in diagnostics] == [
+        ("InvalidRelation", "sense tag has more than three levels: 'a.b.c.d'", line_no) for line_no in (1, 2)
+    ]
 
 
 def test_column_map_from_string_and_validation():
