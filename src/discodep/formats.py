@@ -130,11 +130,9 @@ def _write_conll(graph: DependencyGraph) -> bytes:
             lines.append(f"{unit}\t_\t_\t_\t_\t_")
             continue
         [arc] = by_dependent[unit]
-        l1, l2, l3 = _sense_fields(arc.sense)
-        distance = "_" if arc.distance is None else str(arc.distance)
-        lines.append(
-            f"{unit}\t{arc.head}\t{l1}\t{l2 or '_'}\t{l3 or '_'}\t{distance}"
-        )
+        head, sense = arc.head, arc.sense
+        distance = "_" if head == ROOT else abs(unit - head)
+        lines.append(f"{unit}\t{head}\t{sense.level1}\t{sense.level2 or '_'}\t{sense.level3 or '_'}\t{distance}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -365,7 +363,7 @@ def _read_json(text: str) -> DependencyGraph:
     entries = payload.get("arcs", [])
     if not isinstance(entries, list):
         raise FormatError(f"arcs must be a list, got {type(entries).__name__}")
-    return _graph(meta, _json_rows(entries), meta.get("unit_count", 0), "arc", _json_int)
+    return _graph(meta, _json_rows(entries), meta.get("unit_count"), "arc", _json_int)
 
 
 def _json_rows(entries: list):

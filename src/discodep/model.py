@@ -10,6 +10,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 ROOT = 0  # pseudo-head index for root arcs; EDU indices are 1-based
 
@@ -190,13 +191,14 @@ class RstChild:
 class RstInternal:
     children: tuple[RstChild, ...]
 
-    # the generated hash would walk the whole subtree on every call; children
-    # are built first, so hashing them here reads their cached hashes
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.children))
-
+    # the generated hash would walk the whole subtree on every call, and
+    # recurse on its depth; the hash is cached on first use instead, for
+    # every internal node under this one that has none, children first
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            return _cache_hashes(self)
 
     def __reduce__(self):
         # rebuild on unpickling: str hashes differ between processes
@@ -205,6 +207,22 @@ class RstInternal:
     @property
     def leaf_indices(self) -> tuple[int, ...]:
         return tuple(leaf.edu_index for leaf in iter_leaves(self))
+
+
+def _cache_hashes(root: RstInternal) -> int:
+    """Cache the hash of ``root`` and of each internal node under it that has
+    none, in one post-order walk without recursion; return root's. A cached
+    node's subtree is skipped: its internal nodes were cached with it."""
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            # each internal child's hash is cached by now
+            object.__setattr__(node, "_hash", hash(node.children))
+        elif "_hash" not in vars(node):
+            stack.append((node, True))
+            stack.extend((child.node, False) for child in node.children if isinstance(child.node, RstInternal))
+    return root._hash
 
 
 def iter_leaves(node: RstLeaf | RstInternal) -> Iterator[RstLeaf]:
@@ -273,11 +291,23 @@ class DependencyGraph:
     def __post_init__(self) -> None:
         # canonical arc order makes equality and serialization independent
         # of the order in which arcs were produced
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs, key=_arc_order)))
+        object.__setattr__(self, "arcs", _canonical(self.arcs))
 
     def distances(self) -> list[int]:
         """Finite dependency distances, root arcs excluded."""
         return [a.distance for a in self.arcs if not a.is_root]
+
+
+_ENDS = attrgetter("dependent", "head")
+
+
+def _canonical(arcs: tuple[DependencyArc, ...]) -> tuple[DependencyArc, ...]:
+    """``arcs`` in ``_arc_order``. Where no two arcs share both ends, their
+    ends alone order them, so the sense keys are built only if two do."""
+    ordered = sorted(arcs, key=_ENDS)
+    if len(set(map(_ENDS, ordered))) < len(ordered):
+        ordered.sort(key=_arc_order)
+    return tuple(ordered)
 
 
 def _arc_order(arc: DependencyArc) -> tuple:

@@ -49,21 +49,34 @@ _TOKEN = re.compile(r"\s*(?:(?P<open>\()|(?P<close>\))|(?P<atom>[^\s()]+))")
 # the argument of a text key: up to the first closing _!, across parens and lines
 _FRAGMENT = re.compile(r"\s*_!(?P<text>.*?)_!", re.DOTALL)
 
+_RELATION = r"rel2par((?:\s+[^\s()]+)*)\s*\)"  # the words of a (rel2par ...) list
+_TEXT = r"text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)"  # up to the first _!, as _FRAGMENT reads it
+
 # One match is one whole unit, spanning exactly the tokens _tokenize reads
-# there: a ")" (group 1), a node header (2), or a well-formed (leaf k) (3),
-# (span a b) (4, 5), (rel2par words) (6) or (text _!fragment_!) (7) list.
+# there:
+# - a ")" (group 1);
+# - a whole Nucleus or Satellite leaf node (2): its label (3), (leaf k) (4),
+#   then optionally (rel2par words) (5) and (text _!fragment_!) (6), and ")";
+# - a Nucleus or Satellite header (7): its label (8), (span a b) (9, 10) and
+#   optionally (rel2par words) (11);
+# - a bare node header (12);
+# - a well-formed (leaf k) (13), (span a b) (14, 15), (rel2par words) (16)
+#   or (text _!fragment_!) (17) list.
 # Any other list (malformed, nested, a Promotion set, a non-ASCII digit)
-# matches none and is read token by token.
+# matches none and is read token by token; so do lists in any other order.
 _UNIT = re.compile(
-    r"""
+    rf"""
     \s*(?:
       (\))
     | \(\s*(?:
-        (Root|Nucleus|Satellite)(?![^\s()])
+        ((Nucleus|Satellite)\s*\(\s*leaf\s+([0-9]+)\s*\)
+          (?:\s*\(\s*{_RELATION})?(?:\s*\(\s*{_TEXT})?\s*\))
+      | ((Nucleus|Satellite)\s*\(\s*span\s+([0-9]+)\s+([0-9]+)\s*\)(?:\s*\(\s*{_RELATION})?)
+      | (Root|Nucleus|Satellite)(?![^\s()])
       | leaf\s+([0-9]+)\s*\)
       | span\s+([0-9]+)\s+([0-9]+)\s*\)
-      | rel2par((?:\s+[^\s()]+)*)\s*\)
-      | text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)  # up to the first _!, as _FRAGMENT reads it
+      | {_RELATION}
+      | {_TEXT}
     ))
     """,
     re.VERBOSE,
@@ -71,6 +84,7 @@ _UNIT = re.compile(
 
 _NODE_LABELS = {"Root", "Nucleus", "Satellite"}
 _NUCLEARITY = {n.value: n for n in Nuclearity}
+_NUCLEUS = Nuclearity.NUCLEUS
 
 
 def _tokenize(text: str, pos: int = 0) -> Iterator[tuple[str, str, int]]:
@@ -138,27 +152,24 @@ def _unescape(fragment: str) -> str:
     return re.sub(r"\\(.)", r"\1", fragment) if "\\" in fragment else fragment
 
 
-def _close_node(label: str, attrs: dict, children: list) -> RstLeaf | RstInternal:
-    """Build a node from its attributes and its already built (label, node, rel2par) children."""
+def _close_node(
+    label: str, attrs: dict, children: list[RstChild], nucleus: bool, rooted: bool
+) -> RstLeaf | RstInternal:
+    """Build a node from its attributes and its built children; ``nucleus``
+    and ``rooted`` say whether a child is a Nucleus or carries the Root label."""
     leaf = attrs.get("leaf")
     if leaf is not None:
         text = attrs.get("text")
         return RstLeaf(leaf, _unescape(text) if text is not None else None)
     if not children:
         raise DisParseError(f"{label} node has neither (leaf k) nor children")
-    built = []
-    has_nucleus = False
-    for child_label, node, rel2par in children:
-        if child_label == "Root":
-            raise DisParseError("Root label on a non-root node")
-        nuclearity = _NUCLEARITY[child_label]
-        has_nucleus = has_nucleus or nuclearity is Nuclearity.NUCLEUS
-        built.append(RstChild(node, nuclearity, rel2par or "span"))
-    if not has_nucleus:
+    if rooted:
+        raise DisParseError("Root label on a non-root node")
+    if not nucleus:
         raise MissingNuclearity(
             f"internal node over leaves {attrs.get('span') or '?'} has no Nucleus child"
         )
-    return RstInternal(tuple(built))
+    return RstInternal(tuple(children))
 
 
 def parse_dis(text: str, doc_id: str = "") -> RstTree:
@@ -166,9 +177,10 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
     byte-order mark is skipped.
 
     One scan with an explicit stack of open nodes: each ``_UNIT`` match is
-    a node header, a whole attribute list or a ")", and anything else is
-    read token by token (``_read_attr``), with the same errors. Each node
-    is built when it closes, so tree depth is not limited by recursion.
+    a whole well-formed leaf node, a node header with its attribute lists,
+    a whole attribute list or a ")", and anything else is read token by
+    token (``_read_attr``), with the same errors. Each node becomes its
+    parent's child when it closes, so tree depth is not limited by recursion.
     """
     return _parse(_decode(text), doc_id)
 
@@ -176,7 +188,7 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
 def _parse(text: str, doc_id: str) -> RstTree:
     match = _UNIT.match
     m = match(text)
-    if m is None or m.lastindex != 2 or m[2] != "Root":
+    if m is None or m.lastindex != 12 or m[12] != "Root":
         tokens = _tokenize(text)
         kind, _, _ = next(tokens, ("", "", 0))
         if not kind:
@@ -187,10 +199,11 @@ def _parse(text: str, doc_id: str) -> RstTree:
         if kind != "atom" or label not in _NODE_LABELS:
             raise DisParseError(f"expected node label Root/Nucleus/Satellite, got {label!r}")
         raise DisParseError(f"top-level node must be Root, got {label}")
-    # open nodes: (label, attributes, built (label, node, rel2par) children);
-    # attrs are those of the innermost one
-    attrs: dict = {}
-    stack: list[tuple[str, dict, list]] = [("Root", attrs, [])]
+    # the innermost open node: its label, attributes and built children, and
+    # whether one child is a Nucleus or carries the Root label (a Root child
+    # has no nuclearity); the nodes around it wait on the stack
+    label, attrs, children, nucleus, rooted = "Root", {}, [], False, False
+    stack: list[tuple[str, dict, list[RstChild], bool, bool]] = []
     pos = m.end()
     while True:
         m = match(text, pos)
@@ -199,30 +212,47 @@ def _parse(text: str, doc_id: str) -> RstTree:
             continue
         pos = m.end()
         unit = m.lastindex
-        if unit == 1:
-            label, attrs, children = stack.pop()
+        if unit == 2:
+            nuclearity, fragment, relation = _NUCLEARITY[m[3]], m[6], m[5]
+            children.append(RstChild(
+                RstLeaf(int(m[4]), None if fragment is None else _unescape(fragment)),
+                nuclearity,
+                " ".join(relation.split()) if relation else "span",
+            ))
+            nucleus = nucleus or nuclearity is _NUCLEUS
+        elif unit == 1:
             if not stack:
                 break
-            stack[-1][2].append((label, _close_node(label, attrs, children), attrs.get("rel2par")))
-            attrs = stack[-1][1]
-        elif unit == 2:
-            attrs = {}
-            stack.append((m[2], attrs, []))
-        elif unit == 3:
-            attrs["leaf"] = int(m[3])
-        elif unit == 5:
-            attrs["span"] = (int(m[4]), int(m[5]))
-        elif unit == 6:
-            attrs["rel2par"] = " ".join(m[6].split())
+            node = _close_node(label, attrs, children, nucleus, rooted)
+            nuclearity, relation = _NUCLEARITY.get(label), attrs.get("rel2par") or "span"
+            label, attrs, children, nucleus, rooted = stack.pop()
+            children.append(RstChild(node, nuclearity, relation))
+            nucleus = nucleus or nuclearity is _NUCLEUS
+            rooted = rooted or nuclearity is None
+        elif unit == 7:
+            stack.append((label, attrs, children, nucleus, rooted))
+            label, children, nucleus, rooted = m[8], [], False, False
+            attrs = {"span": (int(m[9]), int(m[10]))}
+            if m[11] is not None:
+                attrs["rel2par"] = " ".join(m[11].split())
+        elif unit == 12:
+            stack.append((label, attrs, children, nucleus, rooted))
+            label, attrs, children, nucleus, rooted = m[12], {}, [], False, False
+        elif unit == 13:
+            attrs["leaf"] = int(m[13])
+        elif unit == 15:
+            attrs["span"] = (int(m[14]), int(m[15]))
+        elif unit == 16:
+            attrs["rel2par"] = " ".join(m[16].split())
         else:
-            attrs["text"] = m[7]
+            attrs["text"] = m[17]
     if _TOKEN.match(text, pos):
         raise UnbalancedParens(f"trailing tokens after tree (at token {len([*_tokenize(text[:pos])])})")
     # degenerate single-child root wrapper: unwrap to the bare leaf
-    if "leaf" not in attrs and len(children) == 1 and isinstance(children[0][1], RstLeaf):
-        root = children[0][1]
+    if "leaf" not in attrs and len(children) == 1 and isinstance(children[0].node, RstLeaf):
+        root = children[0].node
     else:
-        root = _close_node(label, attrs, children)
+        root = _close_node(label, attrs, children, nucleus, rooted)
     try:
         tree = RstTree(root, doc_id=doc_id)
     except ValueError as err:

@@ -81,23 +81,43 @@ def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
 def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
     """Attach each child but the head child ``h`` to the head child's head,
     or with ``cascade`` a child ``0 < i < h`` to the first child's head.
-    The root's head takes the root arc."""
+    The root's head takes the root arc.
+
+    One post-order loop with an explicit stack, as ``_fold`` walks, with
+    the head rule of ``_head_child`` inlined.
+    """
+    nucleus = Nuclearity.NUCLEUS
     arcs: list[DependencyArc] = []
     senses: dict[str, SenseTag] = {}  # one per relation label in the tree
-
-    def attach(node: RstInternal, child_heads: list[int]) -> int:
-        h = _head_child(node.children)
-        for i, (child, child_head) in enumerate(zip(node.children, child_heads)):
-            head = child_heads[0 if cascade and 0 < i < h else h]
-            if child_head != head:
-                sense = senses.get(child.relation)
-                if sense is None:
-                    sense = senses[child.relation] = SenseTag(child.relation)
-                arcs.append(DependencyArc(child_head, head, sense))
-        return child_heads[h]
-
-    root_head = _fold(tree.root, lambda leaf: leaf.edu_index, attach)
-    arcs.append(DependencyArc(root_head, ROOT, ROOT_SENSE))
+    heads: list[int] = []  # the head of each folded subtree whose parent is open
+    stack: list[tuple[RstLeaf | RstInternal, bool]] = [(tree.root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, RstLeaf):
+            heads.append(node.edu_index)
+        elif not expanded:
+            stack.append((node, True))
+            stack.extend([(child.node, False) for child in reversed(node.children)])
+        else:
+            children = node.children
+            child_heads = heads[-len(children):]
+            del heads[-len(children):]
+            h = 0
+            for i, child in enumerate(children):
+                if child.nuclearity is nucleus:
+                    h = i
+                    break
+            head = child_heads[h]
+            first = child_heads[0] if cascade else head
+            for i, child in enumerate(children):
+                child_head, to = child_heads[i], first if 0 < i < h else head
+                if child_head != to:
+                    sense = senses.get(child.relation)
+                    if sense is None:
+                        sense = senses[child.relation] = SenseTag(child.relation)
+                    arcs.append(DependencyArc(child_head, to, sense))
+            heads.append(head)
+    arcs.append(DependencyArc(heads[0], ROOT, ROOT_SENSE))
     return DependencyGraph(
         doc_id=tree.doc_id,
         unit_count=tree.leaf_count,

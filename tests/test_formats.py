@@ -13,6 +13,7 @@ from discodep import (
     pearson,
     read_dep,
     read_metrics,
+    validate_graph,
     write_correlation,
     write_dep,
     write_metrics,
@@ -132,6 +133,17 @@ class TestReadDep:
             GraphFlavor.ROOTED_TREE,
         )
         assert graph == expected
+
+    def test_json_without_unit_count_reads_as_csv_does(self):
+        json_text = """{"doc_id": "d", "flavor": "RootedTree", "arcs": [
+            {"dependent": 2, "head": 1, "sense": {"level1": "x"}},
+            {"dependent": 1, "head": 0, "sense": {"level1": "ROOT"}}]}"""
+        csv_text = "# doc_id = d\ndependent,head,distance,sense1,class,type\n2,1,,x,,\n1,0,,ROOT,,\n"
+        graph = read_dep(json_text, "json")
+        assert graph == read_dep(csv_text, "csv")
+        assert graph.unit_count == 2
+        assert validate_graph(graph) == []
+        assert read_dep('{"arcs": []}', "json").unit_count == 0
 
     def test_json_bad_syntax_reports_position(self):
         with pytest.raises(FormatError, match="line"):

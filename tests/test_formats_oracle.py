@@ -5,7 +5,7 @@ Each test writes a valid file, takes it and its variants with one mutation
 (line endings, blank, ``#`` and deleted lines, missing, extra or replaced
 fields, odd ids, distances and sense levels) and requires both readers to
 give equal results, or to raise the same exception class with the same
-message once the six intended changes are allowed for:
+message once the seven intended changes are allowed for:
 
 1. only "\\r\\n", "\\r" and "\\n" end a line (the generated text holds no
    other line-breaking character, so this one never shows here);
@@ -14,7 +14,9 @@ message once the six intended changes are allowed for:
 4. every distance mismatch reads ``<where>distance D disagrees with |d - h|``;
 5. the two-column field-count message ends in ``, got M``;
 6. a conll ``# unit_count`` comment that disagrees with the unit rows,
-   which the seed ignored, is ``line N: unit_count C disagrees with R unit rows``.
+   which the seed ignored, is ``line N: unit_count C disagrees with R unit rows``;
+7. a json file without ``unit_count`` counts up to the largest unit named,
+   as csv does, where the seed read 0.
 
 A fixed graph is checked against every one of its variants, and random
 graphs against one variant each. The json writer, which builds its text
@@ -22,6 +24,7 @@ directly, must write the bytes of the seed's ``json.dumps`` writer.
 """
 
 import copy
+import dataclasses
 import json
 import re
 import tempfile
@@ -98,7 +101,7 @@ DROP = object()  # an edit value that deletes the key
 def json_edits(payload: dict) -> list[tuple[tuple, object]]:
     """``(path, value)`` of each one-value edit of a json payload, and the empty edit."""
     edits = [((), None)]
-    edits += [((key,), value) for key in ("doc_id", "unit_count", "flavor", "arcs") for value in JSON_VALUES]
+    edits += [((key,), value) for key in ("doc_id", "unit_count", "flavor", "arcs") for value in JSON_VALUES + [DROP]]
     for i, entry in enumerate(payload["arcs"]):
         edits += [(("arcs", i), value) for value in JSON_VALUES]
         for path in [("arcs", i, k) for k in entry] + [("arcs", i, "sense", k) for k in entry["sense"]]:
@@ -158,6 +161,11 @@ def check_text_dep(text: str, fmt: str) -> None:
 
 def check_json(text: str) -> None:
     old, new = outcome(seed.read_dep, text, "json"), outcome(read_dep, text, "json")
+    if old[0] == "ok" and "unit_count" not in json.loads(text):
+        # change 7: the largest unit named, not 0
+        assert old[1].unit_count == 0
+        units = [max(arc.dependent, arc.head) for arc in old[1].arcs]
+        old = "ok", dataclasses.replace(old[1], unit_count=max(units, default=0))
     bad = re.match(r"arc (\d+): bad (dependent id|head id|distance) ", new[1]) if new[0] != "ok" else None
     if bad:
         # change 2: the field holds something other than a JSON integer,

@@ -264,3 +264,13 @@ def test_arc_order_compares_as_seed_key(triples):
             new, old = (_arc_order(a), _arc_order(b)), (seed_model._arc_order(a), seed_model._arc_order(b))
             assert (new[0] < new[1], new[0] == new[1]) == (old[0] < old[1], old[0] == old[1])
     assert sorted(arcs, key=_arc_order) == sorted(arcs, key=seed_model._arc_order)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2), _ANY_SENSE), max_size=10), st.randoms())
+def test_graph_orders_arcs_by_the_seed_key(triples, random):
+    """Arcs given in any order come out in the seed key's order, whether or
+    not two of them share both ends."""
+    arcs = [DependencyArc(*t) for t in triples if t[0] != t[1]]
+    expected = tuple(sorted(arcs, key=seed_model._arc_order))
+    random.shuffle(arcs)
+    assert forest(3, arcs).arcs == expected

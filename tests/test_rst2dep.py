@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from discodep import (
     parse_dis_file,
     tree_heads,
     validate_graph,
+    write_dep,
 )
 from discodep.rst2dep import apply_label_map, load_label_map
 
@@ -36,6 +38,16 @@ def node(*children):
 
 def tree(root):
     return RstTree(root, doc_id="t")
+
+
+def _nodes(root):
+    """Every node under ``root``, without recursion."""
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        yield n
+        if isinstance(n, RstInternal):
+            stack.extend(c.node for c in n.children)
 
 
 TWO_LEAF = tree(node((leaf(1), S, "condition"), (leaf(2), N, "span")))
@@ -74,6 +86,38 @@ class TestTreeHeads:
         pair = node(*children)
         object.__setattr__(pair, "_hash", 0)
         assert hash(pickle.loads(pickle.dumps(pair))) == hash(node(*children))
+
+    def test_the_document_path_hashes_no_node(self, fixtures_dir, deep_dis_text):
+        for parse in (lambda: parse_dis_file(fixtures_dir / "fig1.dis"), lambda: parse_dis(deep_dis_text)):
+            t = parse()
+            for convert in (hirao_convert, li_convert):
+                write_dep(convert(t), "conll")
+            internal = [n for n in _nodes(t.root) if isinstance(n, RstInternal)]
+            assert len(internal) > 1
+            assert not [n for n in internal if "_hash" in vars(n)]
+
+    def test_hash_and_heads_of_a_deep_chain_need_no_recursion(self):
+        depth = 5000
+        assert sys.getrecursionlimit() < depth
+
+        def chain(hash_each):
+            # leaf k hangs off level k; the innermost level holds the last two leaves
+            root = node((leaf(depth), N, "span"), (leaf(depth + 1), S, "elaboration"))
+            for k in range(depth - 1, 0, -1):
+                if hash_each:
+                    hash(root)  # as a hash computed at construction was
+                root = node((leaf(k), S, "elaboration"), (root, N, "span"))
+            return root
+
+        lazy, eager = chain(False), chain(True)
+        assert "_hash" not in vars(lazy)
+        # compare hashes only: == still recurses on depth
+        assert hash(lazy) == hash(eager)
+        assert all("_hash" in vars(n) for n in _nodes(lazy) if isinstance(n, RstInternal))
+        t = RstTree(chain(False))
+        heads = tree_heads(t)
+        assert len(heads) == 2 * depth + 1
+        assert heads[t.root] == depth
 
 
 class TestHiraoConvert:

@@ -249,6 +249,59 @@ def test_token_path_outcomes_match_token_parser(text):
     assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)
 
 
+def _two_leaves(first: str, second: str = "( Satellite (leaf 2) )") -> str:
+    return f"( Root (span 1 2) {first} {second} )"
+
+
+# whole leaf nodes and node headers that one match reads, next to their
+# near misses, which the single-list alternatives or the token path read
+WHOLE_UNIT_CASES = [
+    _two_leaves("( Nucleus (leaf 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) )"),
+    _two_leaves("( Nucleus (leaf 1) (text _!a_!) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) (text _!a_!) )", "( Satellite (leaf 2) (rel2par y) (text _!b_!) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par) )", "( Satellite (leaf 2) (rel2par ) (text _!b_!) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par  same-unit   x\ty ) )"),
+    _two_leaves("( Nucleus (leaf 1) (text _!a_b (c) _ !\nd\\e_!) )"),
+    _two_leaves("( Nucleus (leaf 1) (text _!_!) )", "( Satellite (leaf 2) (text _!_ _!) )"),
+    _two_leaves("(\tNucleus\n(leaf\t1)\n\t(rel2par\nx)\n(text\t_!a_!\n)\n)"),
+    _two_leaves("(Nucleus(leaf 1)(rel2par x)(text _!a_!))", "(Satellite(leaf 2))"),
+    _two_leaves("( Nucleus (leaf 1) (text _!a_!) (rel2par x) )"),
+    _two_leaves("( Nucleus (rel2par x) (leaf 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) (rel2par y) )"),
+    _two_leaves("( Nucleus (leaf 1) (leaf 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (Promotion 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) (Promotion 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) (text _!a_!) (Promotion 1) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x (y)) )"),
+    _two_leaves("( Nucleus (leaf 1) (text _!a_! b) )"),
+    _two_leaves("( Nucleus (leaf 1) ( Satellite (leaf 7) ) )"),
+    _two_leaves("( Satellite (leaf 1) )"),
+    _two_leaves("( Satellite (leaf 1) )", "( Root (leaf 2) )"),
+    _two_leaves("( Nucleus (leaf 1) (rel2par x) )", "( Satellite (leaf 3) )"),
+    "( Root ( Satellite (leaf 1) (rel2par x) (text _!a_!) ) )",
+    "( Root ( Nucleus (leaf 1) (rel2par x) ) )",
+    "( Root ( Nucleus (span 1 2) (rel2par x) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Nucleus (span 1 2) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Nucleus\n(span\t1 2)\n(rel2par\tx  y) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Nucleus (span 1 2) (rel2par x) (text _!a_!) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Nucleus (rel2par x) (span 1 2) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Nucleus (span 1 2) (rel2par x) (leaf 1) ) ( Satellite (leaf 2) ) )",
+    "( Root ( Nucleus (span 1 2) (rel2par x (y)) ( Nucleus (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Satellite (span 1 2) (rel2par x) ( Satellite (leaf 1) ) ( Satellite (leaf 2) ) ) )",
+    "( Root ( Satellite (span 1 2) ( Nucleus (leaf 1) ) ( Root (leaf 2) ) ) )",
+    "( Root ( Nucleus (span 1 2) ) )",
+    "( Root ( Nucleus (span 1 2) (rel2par x)",
+    "( Root ( Nucleus (leaf 1) (rel2par x)",
+    "( Root ( Nucleus (leaf 1) (rel2par x) (text _!a",
+]
+
+
+@pytest.mark.parametrize("text", WHOLE_UNIT_CASES)
+def test_whole_unit_outcomes_match_token_parser(text):
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text)
+
+
 _DIS_FRAGMENTS = st.sampled_from(
     ["(", ")", "Root", "Nucleus", "Satellite", "leaf", "span", "rel2par", "text", "Promotion"]
     + ["_!", "1", "2", "+1", "\u0661", "x", "\\", " ", "\n", "\u00a0"]
