@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
+import importlib
 import os
-import random
 import sys
 from pathlib import Path
 
 from . import __version__
-from .align import read_segmentation
 from .formats import (
     FORMATS,
     FormatError,
@@ -32,24 +30,56 @@ from .formats import (
     write_dep,
     write_metrics,
 )
-from .metrics import CorrelationError, metrics_record, pearson
 from .model import Diagnostic, DiscodepError, validate_graph
-from .pdtb import ColumnMap, DEFAULT_COLUMNS, parse_relation_file
-from .pdtb2dep import DEFAULT_HEAD_RULES, convert_pdtb, load_head_rules
-from .rst import DisParseError, parse_dis_file
-from .rst2dep import apply_label_map, hirao_convert, li_convert, load_label_map
-
-log = logging.getLogger("discodep")
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
 EXIT_USAGE = 2
 
+# route module -> the names the commands call from it. A command imports
+# only its own routes (``_bind``), so a start loads no other route.
+_ROUTES = {
+    "align": ("read_segmentation",),
+    "pdtb": ("ColumnMap", "DEFAULT_COLUMNS", "parse_relation_file"),
+    "pdtb2dep": ("DEFAULT_HEAD_RULES", "convert_pdtb", "load_head_rules"),
+    "rst": ("DisParseError", "parse_dis_file"),
+    "rst2dep": ("apply_label_map", "hirao_convert", "li_convert", "load_label_map"),
+    "metrics": ("CorrelationError", "metrics_record", "pearson"),
+}
+_ROUTE_OF = {name: module for module, names in _ROUTES.items() for name in names}
 
-def _configure_logging() -> None:
+
+def _bind(*modules: str) -> None:
+    """Import each route module and bind its names into this module's globals.
+
+    A name already bound is left alone: the commands call through these
+    globals, so a name set on the module (a test's stand-in, a tracer's
+    wrapper) is the one that runs.
+    """
+    scope = globals()
+    for module in modules:
+        for name in _ROUTES[module]:
+            if name not in scope:
+                scope[name] = getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    # a route name read from outside before a command bound it (PEP 562)
+    if name not in _ROUTE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_ROUTE_OF[name])
+    return globals()[name]
+
+
+def _logger():
+    """The ``discodep`` logger. Logging is imported and configured on the
+    first line logged, so a run that logs nothing never loads it."""
+    import logging
+
     # getLevelName gives an int only for a level name; anything else is WARNING
     level = logging.getLevelName(os.environ.get("DISCODEP_LOG", "WARNING").upper())
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING, stream=sys.stderr)
+    return logging.getLogger("discodep")
 
 
 def _collect(path: Path, extensions: tuple[str, ...]) -> list[Path]:
@@ -93,14 +123,17 @@ def _convert_all(args, one, files: list[Path]) -> int:
     # a doc_id from a file stem that is not UTF-8 is written as that stem's bytes
     text = "".join(line + "\n" for line in lines)
     (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
-    for line in lines:
-        log.info("%s", line)
+    if lines:
+        log = _logger()
+        for line in lines:
+            log.info("%s", line)
     if failed or (diagnostics and args.strict):
         return EXIT_DIAGNOSTICS
     return EXIT_OK
 
 
 def cmd_convert_pdtb(args) -> int:
+    _bind("align", "pdtb", "pdtb2dep")
     if not 0 < args.theta <= 1:
         raise ValueError(f"--theta must be in (0, 1], got {args.theta}")
     columns = ColumnMap.from_string(args.columns) if args.columns else DEFAULT_COLUMNS
@@ -131,6 +164,7 @@ def cmd_convert_pdtb(args) -> int:
 
 
 def cmd_convert_rst(args) -> int:
+    _bind("rst", "rst2dep")
     label_map = load_label_map(args.label_map) if args.label_map else None
     convert = hirao_convert if args.algo == "hirao" else li_convert
     files = _collect(Path(args.input), ("dis",))
@@ -163,6 +197,7 @@ def cmd_metrics(args) -> int:
     file, one whose doc_id a metrics file cannot hold, or one whose doc_id
     an earlier file already gave, is an ``error:`` line on stderr and makes
     the run exit 1."""
+    _bind("metrics")
     paths = _collect(Path(args.input), FORMATS)
     records = []
     measured_from: dict[str, Path] = {}
@@ -194,17 +229,26 @@ def _metrics_by_doc(path: str) -> dict:
 
 
 def cmd_correlate(args) -> int:
+    """Pearson correlation of one field over the doc_ids in both files.
+
+    An unpaired doc_id, a pair with an undefined field and a pair whose
+    unit counts differ (its distances span different EDU inventories) are
+    each a WARNING line; the last is still correlated.
+    """
+    _bind("metrics")
     left = _metrics_by_doc(args.left)
     right = _metrics_by_doc(args.right)
     shared = sorted(set(left) & set(right))
     for doc_id in sorted(set(left) ^ set(right)):
-        log.warning("unpaired document: %s", doc_id)
+        _logger().warning("unpaired document: %s", doc_id)
     xs, ys = [], []
     for doc_id in shared:
-        x = getattr(left[doc_id], args.field)
-        y = getattr(right[doc_id], args.field)
+        first, second = left[doc_id], right[doc_id]
+        if first.unit_count != second.unit_count:
+            _logger().warning("unit counts differ for %s: %d vs %d", doc_id, first.unit_count, second.unit_count)
+        x, y = getattr(first, args.field), getattr(second, args.field)
         if x is None or y is None:
-            log.warning("skipping %s: undefined %s", doc_id, args.field)
+            _logger().warning("skipping %s: undefined %s", doc_id, args.field)
             continue
         xs.append(x)
         ys.append(y)
@@ -231,6 +275,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_split(args) -> int:
+    import random
+
     in_path = Path(args.input)
     if not in_path.is_dir():
         print(f"error: --input must be a directory: {in_path}", file=sys.stderr)
@@ -327,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,13 +7,14 @@ identical bytes. Every reader decodes its input as UTF-8 and skips a
 leading byte-order mark (``_decode``, ``_read_text``). ``_CODECS``, at the
 end, is the one list of dependency formats; a dependency file's extension
 is its format name.
+
+``json``, ``csv`` and the metrics module are imported by the functions
+that use them, so a ``convert-*`` run that writes conll loads none of them.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
@@ -21,7 +22,6 @@ from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 
-from .metrics import CorrelationResult, MetricsRecord
 from .model import (
     DependencyArc,
     DependencyGraph,
@@ -262,6 +262,8 @@ def _read_conll(text: str) -> DependencyGraph:
 
 def _csv_bytes(header: tuple[str, ...], rows, preamble: str = "") -> bytes:
     """``preamble``, then ``header`` and ``rows`` as csv lines ending in "\\n"."""
+    import csv
+
     buf = io.StringIO()
     buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
@@ -276,6 +278,8 @@ def _csv_rows(lines: list[tuple[int, str]], header: tuple[str, ...]):
     The header, every row's column count and the csv syntax are checked;
     a fault raises FormatError naming its line. A row is one line.
     """
+    import csv
+
     if not lines:
         raise FormatError("csv input has no header row")
     reader = csv.reader(line for _, line in lines)
@@ -319,6 +323,8 @@ def _read_csv(text: str) -> DependencyGraph:
 
 
 def _json_value(value) -> str:
+    import json
+
     return "null" if value is None else json.dumps(value)
 
 
@@ -344,13 +350,15 @@ def _write_json(graph: DependencyGraph) -> bytes:
         )
     listed = "[\n" + ",\n".join(arcs) + "\n  ]" if arcs else "[]"
     text = (
-        f'{{\n  "doc_id": {json.dumps(graph.doc_id)},\n  "unit_count": {graph.unit_count},\n'
-        f'  "flavor": {json.dumps(graph.flavor.value)},\n  "arcs": {listed}\n}}\n'
+        f'{{\n  "doc_id": {_json_value(graph.doc_id)},\n  "unit_count": {graph.unit_count},\n'
+        f'  "flavor": {_json_value(graph.flavor.value)},\n  "arcs": {listed}\n}}\n'
     )
     return text.encode("utf-8")
 
 
 def _read_json(text: str) -> DependencyGraph:
+    import json
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -415,6 +423,8 @@ def write_metrics(records: list[MetricsRecord]) -> bytes:
 
 def read_metrics(data: bytes | str) -> list[MetricsRecord]:
     """Records of a metrics csv. No line is a comment: a doc_id may start with ``#``."""
+    from .metrics import MetricsRecord
+
     text = _decode(data)
     records = []
     for line_no, (doc_id, units, arcs, mdd, sd) in _csv_rows(list(_lines(text)), METRICS_HEADER):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import os
@@ -26,14 +27,32 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv, log_level):
-    """Run the CLI in a fresh interpreter, whose root logger has no handlers yet."""
+def _fresh_env(log_level: str | None = None) -> dict:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, DISCODEP_LOG=log_level, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("DISCODEP_LOG", None)
+    if log_level is not None:
+        env["DISCODEP_LOG"] = log_level
+    return env
+
+
+def run_process(*argv, log_level):
+    """Run the CLI in a fresh interpreter, whose root logger has no handlers
+    yet; a ``log_level`` of None leaves ``DISCODEP_LOG`` unset."""
     return subprocess.run(
         [sys.executable, "-m", "discodep.cli", *map(str, argv)],
-        env=env, capture_output=True, text=True, check=False,
+        env=_fresh_env(log_level), capture_output=True, text=True, check=False,
     )
+
+
+def run_fresh(script: str, *argv):
+    """Run ``script`` in a fresh interpreter; returns the Python literal that
+    its last stdout line prints."""
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        env=_fresh_env(), capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 NON_STRING_LEVEL1 = '{"arcs": [{"dependent": 1, "head": 2, "sense": {"level1": 5}}]}'
@@ -514,6 +533,33 @@ class TestCorrelate:
             )
         assert not out.exists()
 
+    def test_unit_count_mismatch_warns_and_still_correlates(self, tmp_path):
+        left = tmp_path / "l.csv"
+        left.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.0,0.5\nc,5,4,3.5,0.5\n")
+        same, differ = tmp_path / "same.csv", tmp_path / "differ.csv"
+        same.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.5,0.5\nc,5,4,3.0,0.5\n")
+        differ.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,6,5,2.5,0.5\nc,4,3,3.0,0.5\n")
+        outputs = []
+        for right in (same, differ):
+            out = tmp_path / f"corr-{right.stem}.csv"
+            outputs.append(run_process("correlate", "--left", left, "--right", right, "--out", out, log_level=None))
+            assert outputs[-1].returncode == 0
+        assert outputs[0].stderr == ""
+        assert outputs[1].stderr == (
+            "WARNING:discodep:unit counts differ for b: 5 vs 6\n"
+            "WARNING:discodep:unit counts differ for c: 5 vs 4\n"
+        )
+        assert (tmp_path / "corr-same.csv").read_bytes() == (tmp_path / "corr-differ.csv").read_bytes()
+
+    def test_warning_keeps_its_logging_prefix(self, tmp_path):
+        # logging is configured on the first line logged, before the record
+        # reaches a handler, so the line keeps basicConfig's format
+        left, right = tmp_path / "l.csv", tmp_path / "r.csv"
+        left.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.0,0.5\nc,5,4,3.5,0.5\nd,5,4,1.0,0.5\n")
+        right.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.5,0.5\nc,5,4,3.0,0.5\n")
+        result = run_process("correlate", "--left", left, "--right", right, "--out", tmp_path / "c.csv", log_level=None)
+        assert (result.returncode, result.stderr) == (0, "WARNING:discodep:unpaired document: d\n")
+
     def test_sd_field_selected(self, tmp_path):
         left = tmp_path / "l.csv"
         right = tmp_path / "r.csv"
@@ -719,6 +765,83 @@ def test_traced_names_exist():
     spec.loader.exec_module(tracing)
     assert [name for name in tracing.CLI_FUNCTIONS if not hasattr(cli, name)] == []
     assert callable(pdtb2dep.resolve_span_set)
+
+
+# in a fresh interpreter: run main(argv), then print its exit code and the
+# modules it added to sys.modules (this interpreter's site may load some first)
+ROUTE_PROBE = """
+import sys
+before = set(sys.modules)
+from discodep.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as done:
+    code = done.code
+print((code, sorted(set(sys.modules) - before)))
+"""
+START = ["discodep", "discodep.cli", "discodep.formats", "discodep.model"]
+ROUTE_CASES = {
+    "version": (("--version",), []),
+    "validate": (("validate", "--input", "{conll}"), []),
+    "convert-rst": (("convert-rst", "--input", "{fixtures}/fig1.dis", "--out", "{out}"), ["rst", "rst2dep"]),
+    "convert-pdtb": (
+        ("convert-pdtb", "--input", "{fixtures}/wsj_0618.pdtb", "--edus", "{fixtures}/wsj_0618.seg", "--out", "{out}"),
+        ["align", "pdtb", "pdtb2dep"],
+    ),
+    "metrics": (("metrics", "--input", "{conll}", "--mode", "rooted", "--out", "{out}.csv"), ["metrics"]),
+    "correlate": (("correlate", "--left", "{metrics}", "--right", "{metrics}", "--out", "{out}.csv"), ["metrics"]),
+    "split": (("split", "--input", "{fixtures}", "--train", 0, "--dev", 0, "--test", "{n_fixtures}", "--out", "{out}"), []),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_each_command_loads_only_its_route(tmp_path, fixtures_dir, case):
+    argv, route = ROUTE_CASES[case]
+    assert run("convert-rst", "--input", fixtures_dir / "fig1.dis", "--out", tmp_path / "dep") == 0
+    metrics = tmp_path / "m.csv"
+    metrics.write_text(METRICS_HEADER + "a,5,4,1.0,0.5\nb,5,4,2.0,0.5\nc,5,4,3.5,0.5\n")
+    fields = {
+        "fixtures": fixtures_dir, "out": tmp_path / "out", "conll": tmp_path / "dep" / "fig1.conll",
+        "metrics": metrics, "n_fixtures": len({p.stem for p in fixtures_dir.iterdir() if p.is_file()}),
+    }
+    code, added = run_fresh(ROUTE_PROBE, *(str(a).format(**fields) for a in argv))
+    assert code == 0
+    assert [m for m in added if m.split(".")[0] == "discodep"] == sorted(START + [f"discodep.{m}" for m in route])
+    if case == "convert-rst":
+        assert "statistics" not in added and "logging" not in added
+
+
+TRACER_PROBE = """
+import importlib.util, sys
+import discodep.cli as cli
+bound = [name for name in ("read_segmentation", "parse_dis_file", "pearson") if name in vars(cli)]
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+print((bound, len(tracing.CLI_FUNCTIONS), [name for name in tracing.CLI_FUNCTIONS if not callable(getattr(cli, name))]))
+"""
+SWAP_PROBE = """
+import sys
+import discodep.cli as cli
+from discodep.rst import parse_dis_file
+calls = []
+
+def recording(path):
+    calls.append(path.name)
+    return parse_dis_file(path)
+
+cli.parse_dis_file = recording
+print((cli.main(["convert-rst", "--input", sys.argv[1], "--out", sys.argv[2]]), calls))
+"""
+
+
+def test_traced_names_resolve_on_a_fresh_cli():
+    # no command has run, so every route name comes from the module __getattr__
+    assert run_fresh(TRACER_PROBE, TRACING) == ([], 14, [])
+
+
+def test_name_set_before_main_is_the_one_called(tmp_path, fixtures_dir):
+    assert run_fresh(SWAP_PROBE, fixtures_dir / "fig1.dis", tmp_path / "out") == (0, ["fig1.dis"])
 
 
 def test_write_dep_runs_once_per_converted_document(tmp_path, fixtures_dir, seg_file, monkeypatch):
