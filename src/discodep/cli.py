@@ -71,6 +71,10 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+# the names that logging.getLevelName reads as INFO or a lower level
+_INFO_OR_BELOW = {"INFO", "DEBUG", "NOTSET"}
+
+
 def _logger():
     """The ``discodep`` logger. Logging is imported and configured on the
     first line logged, so a run that logs nothing never loads it."""
@@ -123,7 +127,9 @@ def _convert_all(args, one, files: list[Path]) -> int:
     # a doc_id from a file stem that is not UTF-8 is written as that stem's bytes
     text = "".join(line + "\n" for line in lines)
     (out_dir / "diagnostics.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
-    if lines:
+    # the lines are logged at INFO: without logging loaded (and perhaps
+    # configured by a caller), only a DISCODEP_LOG at INFO or below shows them
+    if lines and ("logging" in sys.modules or os.environ.get("DISCODEP_LOG", "").upper() in _INFO_OR_BELOW):
         log = _logger()
         for line in lines:
             log.info("%s", line)

@@ -168,28 +168,53 @@ class Nuclearity(enum.Enum):
     SATELLITE = "Satellite"
 
 
-@dataclass(frozen=True)
+# RST nodes and dependency arcs are built by the thousand per document, so
+# they are slotted (no per-object dict) and their hand-written __init__ sets
+# each field through this one binding, where a generated one looks
+# ``object.__setattr__`` up again for every field.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RstLeaf:
     """Terminal RST node covering a single EDU."""
 
     edu_index: int
     text: str | None = None
 
+    def __init__(self, edu_index: int, text: str | None = None) -> None:
+        _set(self, "edu_index", edu_index)
+        _set(self, "text", text)
+
     @property
     def leaf_indices(self) -> tuple[int, ...]:
         return (self.edu_index,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RstChild:
     node: RstLeaf | RstInternal
     nuclearity: Nuclearity
     relation: str
 
+    def __init__(self, node: RstLeaf | RstInternal, nuclearity: Nuclearity, relation: str) -> None:
+        _set(self, "node", node)
+        _set(self, "nuclearity", nuclearity)
+        _set(self, "relation", relation)
 
-@dataclass(frozen=True)
-class RstInternal:
+
+class _HashSlot:
+    # the slot of RstInternal's cached hash, set on first use: not a field,
+    # so fields, equality and repr see the children alone
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class RstInternal(_HashSlot):
     children: tuple[RstChild, ...]
+
+    def __init__(self, children: tuple[RstChild, ...]) -> None:
+        _set(self, "children", children)
 
     # the generated hash would walk the whole subtree on every call, and
     # recurse on its depth; the hash is cached on first use instead, for
@@ -219,7 +244,7 @@ def _cache_hashes(root: RstInternal) -> int:
         if expanded:
             # each internal child's hash is cached by now
             object.__setattr__(node, "_hash", hash(node.children))
-        elif "_hash" not in vars(node):
+        elif not hasattr(node, "_hash"):
             stack.append((node, True))
             stack.extend((child.node, False) for child in node.children if isinstance(child.node, RstInternal))
     return root._hash
@@ -249,13 +274,22 @@ class RstTree:
             raise ValueError(f"leaf indices are {leaves}, expected 1..{len(leaves)}")
         object.__setattr__(self, "leaf_count", len(leaves))
 
+    @classmethod
+    def _of_ordered_leaves(cls, root: RstLeaf | RstInternal, doc_id: str, leaf_count: int) -> RstTree:
+        """The tree over ``root``, whose caller has read its leaves as
+        1..``leaf_count`` in left-to-right order: the check has nothing to
+        find, so the leaves are not walked again."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(root=root, doc_id=doc_id, leaf_count=leaf_count)
+        return tree
+
 
 class GraphFlavor(enum.Enum):
     ROOTED_TREE = "RootedTree"
     LOCAL_FOREST = "LocalForest"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DependencyArc:
     """A labeled arc from a dependent EDU to its head:
     ``DependencyArc(dependent, head, sense)``.
@@ -268,9 +302,12 @@ class DependencyArc:
     head: int
     sense: SenseTag
 
-    def __post_init__(self) -> None:
-        if self.dependent == self.head:
-            raise ValueError(f"self-loop arc on unit {self.dependent}")
+    def __init__(self, dependent: int, head: int, sense: SenseTag) -> None:
+        if dependent == head:
+            raise ValueError(f"self-loop arc on unit {dependent}")
+        _set(self, "dependent", dependent)
+        _set(self, "head", head)
+        _set(self, "sense", sense)
 
     @property
     def distance(self) -> int | None:

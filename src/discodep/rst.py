@@ -152,6 +152,16 @@ def _unescape(fragment: str) -> str:
     return re.sub(r"\\(.)", r"\1", fragment) if "\\" in fragment else fragment
 
 
+class _Relations(dict):
+    """The words of a ``_UNIT`` rel2par group -> the relation they name,
+    normalized on first sight; no words or no list name "span", as a node
+    without a relation does."""
+
+    def __missing__(self, raw: str | None) -> str:
+        relation = self[raw] = " ".join(raw.split()) if raw else "span"
+        return relation
+
+
 def _close_node(
     label: str, attrs: dict, children: list[RstChild], nucleus: bool, rooted: bool
 ) -> RstLeaf | RstInternal:
@@ -204,6 +214,11 @@ def _parse(text: str, doc_id: str) -> RstTree:
     # has no nuclearity); the nodes around it wait on the stack
     label, attrs, children, nucleus, rooted = "Root", {}, [], False, False
     stack: list[tuple[str, dict, list[RstChild], bool, bool]] = []
+    # leaves come in file order, which is the tree's left-to-right order:
+    # ``count`` leaves are in the tree so far, and ``ordered`` says leaf k
+    # came k-th each time, so the tree needs no second walk to check them
+    count, ordered = 0, True
+    relations = _Relations()
     pos = m.end()
     while True:
         m = match(text, pos)
@@ -213,17 +228,29 @@ def _parse(text: str, doc_id: str) -> RstTree:
         pos = m.end()
         unit = m.lastindex
         if unit == 2:
-            nuclearity, fragment, relation = _NUCLEARITY[m[3]], m[6], m[5]
+            side, leaf, raw, fragment = m.group(3, 4, 5, 6)
+            leaf = int(leaf)
+            count += 1
+            if leaf != count:
+                ordered = False
+            nuclearity = _NUCLEARITY[side]
             children.append(RstChild(
-                RstLeaf(int(m[4]), None if fragment is None else _unescape(fragment)),
-                nuclearity,
-                " ".join(relation.split()) if relation else "span",
+                RstLeaf(leaf, None if fragment is None else _unescape(fragment)), nuclearity, relations[raw]
             ))
             nucleus = nucleus or nuclearity is _NUCLEUS
         elif unit == 1:
             if not stack:
                 break
-            node = _close_node(label, attrs, children, nucleus, rooted)
+            if nucleus and not rooted and "leaf" not in attrs:
+                node = RstInternal(tuple(children))
+            else:
+                leaf = attrs.get("leaf")
+                if leaf is not None:
+                    count += 1
+                    # the leaves read among a leaf node's children are dropped
+                    if leaf != count or children:
+                        ordered = False
+                node = _close_node(label, attrs, children, nucleus, rooted)
             nuclearity, relation = _NUCLEARITY.get(label), attrs.get("rel2par") or "span"
             label, attrs, children, nucleus, rooted = stack.pop()
             children.append(RstChild(node, nuclearity, relation))
@@ -232,9 +259,7 @@ def _parse(text: str, doc_id: str) -> RstTree:
         elif unit == 7:
             stack.append((label, attrs, children, nucleus, rooted))
             label, children, nucleus, rooted = m[8], [], False, False
-            attrs = {"span": (int(m[9]), int(m[10]))}
-            if m[11] is not None:
-                attrs["rel2par"] = " ".join(m[11].split())
+            attrs = {"span": (int(m[9]), int(m[10])), "rel2par": relations[m[11]]}
         elif unit == 12:
             stack.append((label, attrs, children, nucleus, rooted))
             label, attrs, children, nucleus, rooted = m[12], {}, [], False, False
@@ -243,7 +268,7 @@ def _parse(text: str, doc_id: str) -> RstTree:
         elif unit == 15:
             attrs["span"] = (int(m[14]), int(m[15]))
         elif unit == 16:
-            attrs["rel2par"] = " ".join(m[16].split())
+            attrs["rel2par"] = relations[m[16]]
         else:
             attrs["text"] = m[17]
     if _TOKEN.match(text, pos):
@@ -252,11 +277,17 @@ def _parse(text: str, doc_id: str) -> RstTree:
     if "leaf" not in attrs and len(children) == 1 and isinstance(children[0].node, RstLeaf):
         root = children[0].node
     else:
+        if "leaf" in attrs:
+            # a Root (leaf k) node is the tree's one leaf; its children are dropped
+            count, ordered = 1, attrs["leaf"] == 1 and not children
         root = _close_node(label, attrs, children, nucleus, rooted)
-    try:
-        tree = RstTree(root, doc_id=doc_id)
-    except ValueError as err:
-        raise NonContiguousLeaves(str(err)) from None
+    if ordered:
+        tree = RstTree._of_ordered_leaves(root, doc_id, count)
+    else:
+        try:
+            tree = RstTree(root, doc_id=doc_id)
+        except ValueError as err:
+            raise NonContiguousLeaves(str(err)) from None
     span = attrs.get("span")
     if span is not None and span != (1, tree.leaf_count):
         raise NonContiguousLeaves(f"root declares span {span} but tree has {tree.leaf_count} leaves")

@@ -10,6 +10,7 @@ the first child and the head child attaches to the first child.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import attrgetter
 from pathlib import Path
 
 from .formats import read_mapping_rows
@@ -27,6 +28,7 @@ from .model import (
 )
 
 ROOT_SENSE = SenseTag("ROOT", "NONE")
+_node_of = attrgetter("node")
 
 
 def _fold(root: RstLeaf | RstInternal, leaf_value: Callable, combine: Callable):
@@ -37,19 +39,20 @@ def _fold(root: RstLeaf | RstInternal, leaf_value: Callable, combine: Callable):
     Returns the value of ``root``.
     """
     values: list = []
-    stack: list[tuple[RstLeaf | RstInternal, bool]] = [(root, False)]
+    stack: list[RstLeaf | RstInternal | None] = [root]  # None: fold the node below
     while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, RstLeaf):
-            values.append(leaf_value(node))
-        elif not expanded:
-            stack.append((node, True))
-            stack.extend((child.node, False) for child in reversed(node.children))
-        else:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
             k = len(node.children)
             value = combine(node, values[-k:])
             del values[-k:]
             values.append(value)
+        elif isinstance(node, RstLeaf):
+            values.append(leaf_value(node))
+        else:
+            stack += node, None
+            stack.extend(map(_node_of, reversed(node.children)))
     return values[0]
 
 
@@ -83,23 +86,20 @@ def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
     or with ``cascade`` a child ``0 < i < h`` to the first child's head.
     The root's head takes the root arc.
 
-    One post-order loop with an explicit stack, as ``_fold`` walks, with
-    the head rule of ``_head_child`` inlined.
+    One post-order loop, as ``_fold`` walks, with the head rule of
+    ``_head_child`` inlined: an internal node goes back on the stack under a
+    ``None`` marker, then its children, and popping the marker folds it.
     """
     nucleus = Nuclearity.NUCLEUS
     arcs: list[DependencyArc] = []
     senses: dict[str, SenseTag] = {}  # one per relation label in the tree
     heads: list[int] = []  # the head of each folded subtree whose parent is open
-    stack: list[tuple[RstLeaf | RstInternal, bool]] = [(tree.root, False)]
+    stack: list[RstLeaf | RstInternal | None] = [tree.root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, RstLeaf):
-            heads.append(node.edu_index)
-        elif not expanded:
-            stack.append((node, True))
-            stack.extend([(child.node, False) for child in reversed(node.children)])
-        else:
-            children = node.children
+        node = pop()
+        if node is None:
+            children = pop().children
             child_heads = heads[-len(children):]
             del heads[-len(children):]
             h = 0
@@ -117,6 +117,12 @@ def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
                         sense = senses[child.relation] = SenseTag(child.relation)
                     arcs.append(DependencyArc(child_head, to, sense))
             heads.append(head)
+        elif isinstance(node, RstLeaf):
+            heads.append(node.edu_index)
+        else:
+            push(node)
+            push(None)
+            extend(map(_node_of, reversed(node.children)))
     arcs.append(DependencyArc(heads[0], ROOT, ROOT_SENSE))
     return DependencyGraph(
         doc_id=tree.doc_id,

@@ -882,6 +882,15 @@ def test_log_setting_that_is_no_level_name_falls_back_to_warning(tmp_path, fixtu
     assert (tmp_path / "diagnostics.txt").read_text() != ""
 
 
+def test_diagnostics_load_no_logging_when_info_lines_are_dropped(tmp_path, fixtures_dir):
+    # DISCODEP_LOG is unset, so the INFO line of each diagnostic would be dropped
+    code, added = run_fresh(ROUTE_PROBE, "convert-pdtb", "--input", fixtures_dir / "wsj_0618.pdtb",
+                            "--edus", fixtures_dir / "wsj_0618.seg", "--out", tmp_path)
+    assert code == 0
+    assert (tmp_path / "diagnostics.txt").read_text().startswith("[link-group-duplicate]")
+    assert "logging" not in added
+
+
 def test_info_log_lines_are_the_diagnostics_lines_in_order(tmp_path, fixtures_dir):
     pdtb = tmp_path / "pdtb"
     pdtb.mkdir()

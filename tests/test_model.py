@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import time
 
 import pytest
@@ -9,6 +12,10 @@ from discodep import (
     DependencyGraph,
     Document,
     GraphFlavor,
+    Nuclearity,
+    RstChild,
+    RstInternal,
+    RstLeaf,
     SenseTag,
     Span,
     mdd_rooted,
@@ -111,6 +118,43 @@ class TestDependencyArc:
         assert mdd_rooted(graph) == 1.0
         for fmt in FORMATS:
             assert read_dep(write_dep(graph, fmt), fmt) == graph
+
+
+_CHILD = RstChild(RstLeaf(1, "a"), Nuclearity.NUCLEUS, "span")
+# each slotted record, a change to one of its fields, and its field names
+SLOTTED_RECORDS = {
+    "RstLeaf": (RstLeaf(1, "a"), {"text": "b"}, ["edu_index", "text"]),
+    "RstChild": (_CHILD, {"relation": "elaboration"}, ["node", "nuclearity", "relation"]),
+    "RstInternal": (
+        RstInternal((_CHILD, RstChild(RstLeaf(2), Nuclearity.SATELLITE, "x"))), {"children": (_CHILD,)}, ["children"]
+    ),
+    "DependencyArc": (arc(1, 2), {"head": 3}, ["dependent", "head", "sense"]),
+}
+
+
+@pytest.mark.parametrize("name", SLOTTED_RECORDS)
+def test_slotted_records_keep_the_dataclass_contract(name):
+    record, change, names = SLOTTED_RECORDS[name]
+    (field, value), = change.items()
+    hash(record)  # an RstInternal caches its hash; the copies must not carry it over
+    for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), dataclasses.replace(record)):
+        assert twin is not record
+        assert (twin, hash(twin), repr(twin)) == (record, hash(record), repr(record))
+    changed = dataclasses.replace(record, **change)
+    assert getattr(changed, field) == value and changed != record
+    assert [f.name for f in dataclasses.fields(record)] == names
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(record, field)
+    # the one visible change from the unslotted records: no instance dict
+    with pytest.raises(TypeError):
+        vars(record)
+
+
+def test_replace_keeps_the_self_loop_check():
+    with pytest.raises(ValueError, match="self-loop arc on unit 1"):
+        dataclasses.replace(arc(1, 2), head=1)
 
 
 class TestDependencyGraph:
