@@ -44,13 +44,16 @@ def _align(
 
     EDUs are sorted and disjoint, so each span bisects to the first EDU
     ending after its start and walks forward only over the EDUs it overlaps.
+    An EDU's count only grows, so it is judged each time it is met.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     edus, ends = doc.edus, doc._edu_ends
     n = len(edus)
     covered: dict[int, int] = {}
-    for span in _merge(spans):
+    hits = set()
+    # one span is already merged; ``spans`` may be any iterable, so only a tuple is asked its length
+    for span in spans if type(spans) is tuple and len(spans) == 1 else _merge(spans):
         start, end = span.start, span.end
         pos = bisect_right(ends, start)
         while pos < n:
@@ -58,13 +61,13 @@ def _align(
             edu_start, edu_end = edu.start, edu.end
             if edu_start >= end:
                 break
-            covered[index] = covered.get(index, 0) + min(edu_end, end) - max(edu_start, start)
+            # in this innermost loop two comparisons cost less than min() and max() calls
+            chars = covered[index] = (
+                covered.get(index, 0) + (edu_end if edu_end < end else end) - (edu_start if edu_start > start else start)
+            )
+            if chars >= theta * (edu_end - edu_start):
+                hits.add(index)
             pos += 1
-    hits = set()
-    for index, chars in covered.items():
-        edu = edus[index - 1][1]
-        if chars >= theta * (edu.end - edu.start):
-            hits.add(index)
     return hits, covered
 
 
@@ -77,25 +80,35 @@ def map_span_set(spans: Iterable[Span], doc: Document, theta: float = DEFAULT_TH
     return _align(spans, doc, theta)[0]
 
 
+def _argument(context: str | tuple[int, str]) -> str:
+    """The argument a ``resolve_span_set`` message names."""
+    if isinstance(context, tuple):
+        line_no, arg = context
+        return f"line {line_no} {arg}"
+    return context or "argument"
+
+
 def resolve_span_set(
     spans: Iterable[Span],
     doc: Document,
     theta: float = DEFAULT_THETA,
     diagnostics: list[Diagnostic] | None = None,
-    context: str = "",
+    context: str | tuple[int, str] = "",
 ) -> set[int]:
     """map_span_set with a fallback so every argument lands somewhere.
 
     When no EDU meets theta, the single EDU with maximal absolute overlap
     is used (ties go to the earlier EDU) and the fallback is logged as a
     diagnostic. Raises EmptyAlignment when nothing overlaps at all.
+    ``context`` names the argument in those messages: a string, or
+    ``(line_no, "Arg1")`` for ``line N Arg1``, formatted only when used.
     """
     hits, covered = _align(spans, doc, theta)
     if hits:
         return hits
     if not covered:
         raise EmptyAlignment(
-            f"{doc.doc_id}: {context or 'argument'} overlaps no EDU "
+            f"{doc.doc_id}: {_argument(context)} overlaps no EDU "
             f"(inventory of {doc.unit_count})"
         )
     best_index = max(covered, key=covered.__getitem__)
@@ -103,7 +116,7 @@ def resolve_span_set(
         diagnostics.append(
             Diagnostic(
                 "alignment-fallback",
-                f"{context or 'argument'} meets theta={theta:g} for no EDU; "
+                f"{_argument(context)} meets theta={theta:g} for no EDU; "
                 f"falling back to EDU {best_index} ({covered[best_index]} chars)",
                 doc_id=doc.doc_id,
             )

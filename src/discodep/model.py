@@ -40,16 +40,25 @@ class Diagnostic:
         return line.replace("\r", "\\r").replace("\n", "\\n")
 
 
-@dataclass(frozen=True, order=True)
+# Spans, relations, RST nodes and dependency arcs are built by the thousand
+# per document, so they are slotted (no per-object dict) and their
+# hand-written __init__ sets each field through this one binding, where a
+# generated one looks ``object.__setattr__`` up again for every field.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class Span:
     """Character span over the raw document text: [start, end), 0-based."""
 
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.start >= self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int) -> None:
+        if start < 0 or start >= end:
+            raise ValueError(f"invalid span [{start}, {end})")
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -139,7 +148,7 @@ SENSELESS_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PdtbRelation:
     """One annotation row of a PDTB 3.0 relation file."""
 
@@ -151,12 +160,28 @@ class PdtbRelation:
     link_group: str | None = None
     raw_line_no: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.senses:
+    def __init__(
+        self,
+        kind: RelationKind,
+        senses: tuple[SenseTag, ...],
+        arg1_spans: tuple[Span, ...],
+        arg2_spans: tuple[Span, ...],
+        connective: str | None = None,
+        link_group: str | None = None,
+        raw_line_no: int = 0,
+    ) -> None:
+        if not senses:
             raise ValueError("relation must carry at least one sense")
-        if self.kind is not RelationKind.NOREL:
-            if not self.arg1_spans or not self.arg2_spans:
-                raise ValueError(f"{self.kind.value} relation with empty argument spans")
+        if kind is not RelationKind.NOREL:
+            if not arg1_spans or not arg2_spans:
+                raise ValueError(f"{kind.value} relation with empty argument spans")
+        _set(self, "kind", kind)
+        _set(self, "senses", senses)
+        _set(self, "arg1_spans", arg1_spans)
+        _set(self, "arg2_spans", arg2_spans)
+        _set(self, "connective", connective)
+        _set(self, "link_group", link_group)
+        _set(self, "raw_line_no", raw_line_no)
 
     @property
     def primary_sense(self) -> SenseTag:
@@ -166,13 +191,6 @@ class PdtbRelation:
 class Nuclearity(enum.Enum):
     NUCLEUS = "Nucleus"
     SATELLITE = "Satellite"
-
-
-# RST nodes and dependency arcs are built by the thousand per document, so
-# they are slotted (no per-object dict) and their hand-written __init__ sets
-# each field through this one binding, where a generated one looks
-# ``object.__setattr__`` up again for every field.
-_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True, init=False)

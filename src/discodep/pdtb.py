@@ -85,7 +85,12 @@ class ColumnMap:
                 "--columns needs 8 comma-separated indices: "
                 "kind,conn_span,conn1,sense1,conn2,sense2,arg1,arg2"
             )
-        vals = [int(p) for p in parts]
+        vals = []
+        for p in parts:
+            try:
+                vals.append(int(p))
+            except ValueError:
+                raise ValueError(f"--columns index {p!r} is not an integer") from None
         return cls(*vals)
 
 
@@ -98,6 +103,13 @@ def _parse_span_list(token: str, line_no: int) -> tuple[Span, ...]:
     PDTB span notation is inclusive on both ends; spans are stored
     half-open internally, so ``a..b`` becomes [a, b+1).
     """
+    # nearly every argument is one range with no blanks and no ";", read without the loop
+    start, _, end = token.partition("..")
+    if start.isdecimal() and end.isdecimal():
+        start, end = int(start), int(end)
+        if end < start:
+            raise MalformedSpan(f"span ends before it starts: {token!r}", line_no)
+        return (Span(start, end + 1),)
     spans = []
     for part in token.split(";"):
         part = part.strip()
@@ -118,8 +130,10 @@ def parse_relation_line(
     line: str, columns: ColumnMap = DEFAULT_COLUMNS, line_no: int = 0
 ) -> PdtbRelation:
     """Parse one pipe-delimited relation record into a PdtbRelation."""
-    fields = line.rstrip("\n").split("|")
     needed = columns.last_col
+    # the fields after the last column stay one string; a short line has
+    # fewer separators than the limit, so its fields are all split
+    fields = line.rstrip("\n").split("|", needed + 1)
     if len(fields) <= needed:
         raise ShortLine(
             f"line has {len(fields)} fields, need at least {needed + 1}", line_no
@@ -153,24 +167,15 @@ def parse_relation_line(
         connective = token or None
 
     link_group = None
-    trailing = fields[needed + 1 :]
-    # a field that is a link token holds a match, so most lines skip the loop
-    if _LINK_TOKEN.search("|".join(trailing)):
-        for token in reversed(trailing):
+    # a trailing field that is a link token holds a match, so most lines skip the loop
+    if len(fields) > needed + 1 and _LINK_TOKEN.search(fields[-1]):
+        for token in reversed(fields[-1].split("|")):
             token = token.strip()
             if token and _LINK_TOKEN.fullmatch(token):
                 link_group = token.upper()
                 break
 
-    return PdtbRelation(
-        kind=kind,
-        senses=tuple(senses),
-        arg1_spans=arg1,
-        arg2_spans=arg2,
-        connective=connective,
-        link_group=link_group,
-        raw_line_no=line_no,
-    )
+    return PdtbRelation(kind, tuple(senses), arg1, arg2, connective, link_group, line_no)
 
 
 def parse_relation_text(

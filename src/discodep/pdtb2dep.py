@@ -90,8 +90,11 @@ def _constituent_head(units: set[int], heads: dict[int, list[int]]) -> int:
         return next(iter(units))
     if not units:
         raise ValueError("empty constituent")
-    candidates = [u for u in units if units.isdisjoint(heads.get(u, ()))]
-    return max(candidates) if candidates else max(units)
+    best = None
+    for u in units:
+        if (best is None or u > best) and units.isdisjoint(heads.get(u, ())):
+            best = u
+    return max(units) if best is None else best
 
 
 def load_head_rules(path: str | Path) -> dict[str, str]:
@@ -167,10 +170,10 @@ def convert_pdtb(
     for rel in kept:
         try:
             units1 = resolve_span_set(
-                rel.arg1_spans, doc, theta, diagnostics, context=f"line {rel.raw_line_no} Arg1"
+                rel.arg1_spans, doc, theta, diagnostics, context=(rel.raw_line_no, "Arg1")
             )
             units2 = resolve_span_set(
-                rel.arg2_spans, doc, theta, diagnostics, context=f"line {rel.raw_line_no} Arg2"
+                rel.arg2_spans, doc, theta, diagnostics, context=(rel.raw_line_no, "Arg2")
             )
         except EmptyAlignment as err:
             diagnostics.append(
@@ -179,7 +182,7 @@ def convert_pdtb(
                 )
             )
             continue
-        if units1 & units2:
+        if not units1.isdisjoint(units2):
             diagnostics.append(
                 Diagnostic(
                     "overlapping-arguments",
@@ -199,12 +202,13 @@ def convert_pdtb(
     heads: dict[int, list[int]] = {}  # dependent -> canonical heads so far
     arcs: list[DependencyArc] = []
     for rel, units1, units2 in aligned:
-        h1 = _constituent_head(units1, heads)
-        h2 = _constituent_head(units2, heads)
-        tag = rel.primary_sense
+        # a one-unit argument heads itself
+        h1 = next(iter(units1)) if len(units1) == 1 else _constituent_head(units1, heads)
+        h2 = next(iter(units2)) if len(units2) == 1 else _constituent_head(units2, heads)
+        tag = rel.senses[0]
         verdict = sense_symmetry(tag)
         if verdict.is_symmetric:
-            dependent, head = min(h1, h2), max(h1, h2)
+            dependent, head = (h1, h2) if h1 < h2 else (h2, h1)
         elif _dependent_side(tag, verdict, head_rules) == 1:
             dependent, head = h1, h2
         else:

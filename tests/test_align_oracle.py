@@ -52,27 +52,44 @@ _bad_thetas = st.one_of(
 )
 
 
-def _resolve(fn, spans, doc, theta):
+def _resolve(fn, spans, doc, theta, context="line 7 Arg2"):
     """Resolved units and diagnostic lines, or the EmptyAlignment message."""
     diagnostics = []
     try:
-        units = fn(spans, doc, theta, diagnostics, context="line 7 Arg2")
+        units = fn(spans, doc, theta, diagnostics, context=context)
     except EmptyAlignment as err:
         return "EmptyAlignment", str(err)
     return units, [str(d) for d in diagnostics]
 
 
-@given(data=st.data(), theta=_thetas, as_generator=st.booleans())
-def test_sweep_matches_full_scan(data, theta, as_generator):
+@given(
+    data=st.data(),
+    theta=_thetas,
+    shape=st.sampled_from([tuple, list, iter]),
+    context=st.sampled_from(["line 7 Arg2", (7, "Arg2")]),
+)
+def test_sweep_matches_full_scan(data, theta, shape, context):
     doc = data.draw(inventories())
     spans = data.draw(argument(doc))
 
     def arg():
-        return (s for s in spans) if as_generator else list(spans)
+        # a tuple of one span skips the merge; an iterator has no length
+        return shape(spans)
 
     assert map_span_set(arg(), doc, theta) == seed_align.map_span_set(spans, doc, theta)
-    assert _resolve(resolve_span_set, arg(), doc, theta) == _resolve(
+    assert _resolve(resolve_span_set, arg(), doc, theta, context) == _resolve(
         seed_align.resolve_span_set, spans, doc, theta
+    )
+
+
+@pytest.mark.parametrize("shape", [tuple, list, iter])
+def test_a_repeated_span_counts_once(shape):
+    # a tuple of several spans is merged like any other iterable
+    doc = Document("d", ((1, Span(0, 10)),))
+    spans = [Span(0, 3), Span(0, 3)]
+    assert map_span_set(shape(spans), doc, 0.5) == set() == seed_align.map_span_set(spans, doc, 0.5)
+    assert _resolve(resolve_span_set, shape(spans), doc, 0.5) == _resolve(
+        seed_align.resolve_span_set, spans, doc, 0.5
     )
 
 

@@ -125,6 +125,37 @@ class TestConvertPdtb:
         )
         assert code == 0
 
+    def test_columns_index_that_is_not_an_integer_is_usage_error(self, tmp_path, pdtb_corpus, seg_file, capsys):
+        out = tmp_path / "out"
+        assert run(
+            "convert-pdtb", "--input", pdtb_corpus, "--edus", seg_file, "--out", out,
+            "--columns", "a,1,7,8,10,11,14,20",
+        ) == 2
+        assert capsys.readouterr().err == "error: --columns index 'a' is not an integer\n"
+        assert not out.exists()
+
+    def test_alignment_diagnostics_name_line_and_argument(self, tmp_path):
+        corpus = tmp_path / "pdtb"
+        corpus.mkdir()
+        row = "Implicit||||||||Expansion.Conjunction||||||{}||||||{}|\n"
+        (corpus / "d.pdtb").write_text(
+            row.format("0..9", "10..19")  # EDU 1 -> EDU 2
+            + row.format("17..19", "20..21")  # 3 of EDU 2's 10 chars, 2 of EDU 3's: both fall back
+            + row.format("100..109", "10..19")  # Arg1 past the last EDU
+            + row.format("0..9", "200..209"),  # Arg2 past the last EDU
+            encoding="utf-8",
+        )
+        seg = tmp_path / "d.seg"
+        seg.write_text("d\t1\t0\t10\nd\t2\t10\t20\nd\t3\t20\t30\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("convert-pdtb", "--input", corpus, "--edus", seg, "--out", out, "--format", "json") == 0
+        assert (out / "diagnostics.txt").read_text(encoding="utf-8").splitlines() == [
+            "[alignment-fallback] d: line 2 Arg1 meets theta=0.5 for no EDU; falling back to EDU 2 (3 chars)",
+            "[alignment-fallback] d: line 2 Arg2 meets theta=0.5 for no EDU; falling back to EDU 3 (2 chars)",
+            "[empty-alignment] d:line 3: d: line 3 Arg1 overlaps no EDU (inventory of 3)",
+            "[empty-alignment] d:line 4: d: line 4 Arg2 overlaps no EDU (inventory of 3)",
+        ]
+
     def test_json_output_round_trips(self, tmp_path, pdtb_corpus, seg_file):
         out = tmp_path / "out"
         run(

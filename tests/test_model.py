@@ -13,6 +13,8 @@ from discodep import (
     Document,
     GraphFlavor,
     Nuclearity,
+    PdtbRelation,
+    RelationKind,
     RstChild,
     RstInternal,
     RstLeaf,
@@ -129,6 +131,12 @@ SLOTTED_RECORDS = {
         RstInternal((_CHILD, RstChild(RstLeaf(2), Nuclearity.SATELLITE, "x"))), {"children": (_CHILD,)}, ["children"]
     ),
     "DependencyArc": (arc(1, 2), {"head": 3}, ["dependent", "head", "sense"]),
+    "Span": (Span(1, 5), {"end": 9}, ["start", "end"]),
+    "PdtbRelation": (
+        PdtbRelation(RelationKind.EXPLICIT, (SenseTag("Contingency", "Cause"),), (Span(0, 4),), (Span(5, 9),), "so", "LINK1", 3),
+        {"connective": "since"},
+        ["kind", "senses", "arg1_spans", "arg2_spans", "connective", "link_group", "raw_line_no"],
+    ),
 }
 
 
@@ -155,6 +163,29 @@ def test_slotted_records_keep_the_dataclass_contract(name):
 def test_replace_keeps_the_self_loop_check():
     with pytest.raises(ValueError, match="self-loop arc on unit 1"):
         dataclasses.replace(arc(1, 2), head=1)
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (Span(1, 5), {"end": 1}, "invalid span [1, 1)"),
+        (SLOTTED_RECORDS["PdtbRelation"][0], {"senses": ()}, "relation must carry at least one sense"),
+        (SLOTTED_RECORDS["PdtbRelation"][0], {"arg2_spans": ()}, "Explicit relation with empty argument spans"),
+    ],
+)
+def test_replace_keeps_the_record_checks(record, change, message):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(record, **change)
+    assert str(err.value) == message
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 9)), max_size=8))
+def test_spans_sort_by_start_then_end(bounds):
+    spans = [Span(start, start + length) for start, length in bounds]
+    assert [(s.start, s.end) for s in sorted(spans)] == sorted((s.start, s.end) for s in spans)
+    for a, b in zip(spans, spans[1:]):
+        x, y = (a.start, a.end), (b.start, b.end)
+        assert (a < b, a == b, a > b) == (x < y, x == y, x > y)
 
 
 class TestDependencyGraph:

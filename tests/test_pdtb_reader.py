@@ -174,6 +174,10 @@ def test_column_map_from_string_and_validation():
     assert cm == ColumnMap()
     with pytest.raises(ValueError):
         ColumnMap.from_string("0,1,2")
+    with pytest.raises(ValueError, match=r"^--columns index 'a' is not an integer$"):
+        ColumnMap.from_string("a,1,7,8,10,11,14,20")
+    with pytest.raises(ValueError, match=r"^--columns index '' is not an integer$"):
+        ColumnMap.from_string("0,1,7,8,10,11,14,")
     with pytest.raises(ValueError):
         ColumnMap(kind_col=0, conn_span_col=0)
 

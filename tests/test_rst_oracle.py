@@ -18,7 +18,7 @@ from discodep import (
     parse_dis,
     pretty_print,
 )
-from discodep.rst import DisParseError, _tokenize
+from discodep.rst import DisParseError, MissingNuclearity, _tokenize
 
 N = Nuclearity.NUCLEUS
 S = Nuclearity.SATELLITE
@@ -186,7 +186,8 @@ SINGLE_DEFECTS = [
 ]
 
 # these still parse: a lone Satellite leaf under Root, or a Root-labelled
-# one, is unwrapped; the children of a leaf node are ignored
+# one, is unwrapped; the children of a leaf node are ignored when they parse
+# without defects
 ACCEPTED_ODDITIES = [
     "( Root (span 1 1) ( Satellite (leaf 1) (rel2par elaboration) ) )",
     "( Root ( Root (leaf 1) ) )",
@@ -200,6 +201,15 @@ ACCEPTED_ODDITIES = [
 @pytest.mark.parametrize("text", SINGLE_DEFECTS + ACCEPTED_ODDITIES)
 def test_single_defect_outcomes_match_seed(text):
     assert _outcome(parse_dis, text) == _outcome(seed_rst.parse_dis, text)
+
+
+def test_a_defect_in_the_children_of_a_leaf_node_fails_the_document():
+    # under a leaf Root, a Nucleus whose one child is a Satellite: the
+    # recursive seed drops the Root's children unread, the token parser and
+    # the library report it
+    text = "( Root (leaf 1) ( Nucleus (leaf 2) ) ( Nucleus ( Satellite (leaf 3) ) ) )"
+    expected = (MissingNuclearity, "internal node over leaves ? has no Nucleus child")
+    assert _outcome(parse_dis, text) == _outcome(seed_rst.token_parse_dis, text) == expected
 
 
 @pytest.mark.parametrize(
