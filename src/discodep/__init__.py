@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "align": ("map_span_set", "read_segmentation", "resolve_span_set"),
+    "align": ("read_segmentation", "resolve_span_set"),
     "formats": ("read_dep", "read_metrics", "write_correlation", "write_dep", "write_metrics"),
     "metrics": (
-        "CorrelationResult", "MetricsRecord", "corpus_mean", "mdd_local", "mdd_rooted",
+        "CorrelationResult", "MetricsRecord", "mdd_local", "mdd_rooted",
         "metrics_record", "pearson", "sd_distances",
     ),
     "model": (
@@ -26,9 +26,9 @@ _EXPORTS = {
         "RstTree", "SenseTag", "Span", "validate_graph",
     ),
     "pdtb": ("ColumnMap", "parse_relation_file", "parse_relation_line"),
-    "pdtb2dep": ("convert_pdtb", "head_of_constituent", "sense_symmetry"),
+    "pdtb2dep": ("convert_pdtb", "sense_symmetry"),
     "rst": ("edu_inventory_of", "parse_dis", "parse_dis_file", "pretty_print"),
-    "rst2dep": ("binarize", "hirao_convert", "li_convert", "tree_heads"),
+    "rst2dep": ("hirao_convert", "li_convert"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

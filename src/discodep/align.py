@@ -71,15 +71,6 @@ def _align(
     return hits, covered
 
 
-def map_span_set(spans: Iterable[Span], doc: Document, theta: float = DEFAULT_THETA) -> set[int]:
-    """EDUs covered by the span set: overlap >= theta * EDU length.
-
-    Monotone in the span set; theta=1 keeps only fully covered EDUs and
-    theta near 0 keeps every EDU touched by at least one character.
-    """
-    return _align(spans, doc, theta)[0]
-
-
 def _argument(context: str | tuple[int, str]) -> str:
     """The argument a ``resolve_span_set`` message names."""
     if isinstance(context, tuple):
@@ -95,7 +86,8 @@ def resolve_span_set(
     diagnostics: list[Diagnostic] | None = None,
     context: str | tuple[int, str] = "",
 ) -> set[int]:
-    """map_span_set with a fallback so every argument lands somewhere.
+    """EDUs covered by the span set (overlap >= theta * EDU length), with a
+    fallback so every argument lands somewhere.
 
     When no EDU meets theta, the single EDU with maximal absolute overlap
     is used (ties go to the earlier EDU) and the fallback is logged as a

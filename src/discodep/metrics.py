@@ -1,7 +1,7 @@
-"""Dependency-distance statistics: MDD, SD, corpus means, Pearson correlation.
+"""Dependency-distance statistics: MDD, SD, Pearson correlation.
 
 Root arcs never contribute a distance. Undefined metrics propagate as
-absent values (never 0) so corpus aggregates stay honest.
+absent values (never 0) so correlations over a corpus stay honest.
 """
 
 from __future__ import annotations
@@ -104,17 +104,6 @@ def metrics_record(graph: DependencyGraph, mode: str) -> MetricsRecord:
         mdd=mdd,
         sd=sd,
     )
-
-
-def corpus_mean(records: list[MetricsRecord], field: str) -> tuple[float, int]:
-    """Mean of a record field over defined values, plus the skipped count."""
-    if field not in ("mdd", "sd"):
-        raise ValueError(f"field must be 'mdd' or 'sd', got {field!r}")
-    values = [getattr(r, field) for r in records]
-    defined = [v for v in values if v is not None]
-    if not defined:
-        raise UndefinedMetric(f"no defined {field} values among {len(records)} records")
-    return statistics.fmean(defined), len(values) - len(defined)
 
 
 def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:

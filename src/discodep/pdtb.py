@@ -85,13 +85,13 @@ class ColumnMap:
                 "--columns needs 8 comma-separated indices: "
                 "kind,conn_span,conn1,sense1,conn2,sense2,arg1,arg2"
             )
-        vals = []
         for p in parts:
-            try:
-                vals.append(int(p))
-            except ValueError:
-                raise ValueError(f"--columns index {p!r} is not an integer") from None
-        return cls(*vals)
+            # ASCII digits only, so that int() reads no "1_4", "+1" or "٢٠";
+            # a leading "-" still parses and fails the ">= 0" check
+            digits = p[1:] if p.startswith("-") else p
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"--columns index {p!r} is not an integer")
+        return cls(*map(int, parts))
 
 
 DEFAULT_COLUMNS = ColumnMap()

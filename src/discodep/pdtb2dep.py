@@ -69,19 +69,6 @@ def sense_symmetry(tag: SenseTag) -> SymmetryVerdict:
     return SYMMETRIC
 
 
-def head_of_constituent(units: set[int], arcs_so_far: list[tuple[int, int]]) -> int:
-    """Representative head of a multi-EDU constituent.
-
-    Returns the unit that is not a dependent of any other unit in the set
-    via (dependent, head) arcs internal to the set; ties go to the
-    linearly last unit.
-    """
-    heads: dict[int, list[int]] = {}
-    for dep, head in arcs_so_far:
-        heads.setdefault(dep, []).append(head)
-    return _constituent_head(units, heads)
-
-
 def _constituent_head(units: set[int], heads: dict[int, list[int]]) -> int:
     # the last unit with no head inside the set, found in set size times
     # unit degree; the last unit when every one has such a head, so a
@@ -126,17 +113,13 @@ def convert_pdtb(
     relations: list[PdtbRelation],
     theta: float = DEFAULT_THETA,
     head_rules: dict[str, str] | None = None,
-    flip_directions: bool = False,
 ) -> tuple[DependencyGraph, list[Diagnostic]]:
     """Convert one document's relations into a LocalForest dependency graph.
 
     NoRel rows carry no semantic arc and are dropped; within a link group
     only the first-listed relation is kept. Relations whose two argument
-    EDU sets intersect are reported and skipped. ``flip_directions``
-    swaps head and dependent on every emitted arc (constituent
-    resolution still uses the canonical directions), which leaves the
-    distance multiset unchanged. A ``theta`` outside (0, 1] raises
-    ValueError, whether or not there are relations.
+    EDU sets intersect are reported and skipped. A ``theta`` outside
+    (0, 1] raises ValueError, whether or not there are relations.
     """
     if not 0 < theta <= 1:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -214,8 +197,6 @@ def convert_pdtb(
         else:
             dependent, head = h2, h1
         heads.setdefault(dependent, []).append(head)
-        if flip_directions:
-            dependent, head = head, dependent
         arcs.append(DependencyArc(dependent, head, tag))
 
     graph = DependencyGraph(

@@ -318,9 +318,9 @@ def pretty_print(tree: RstTree) -> str:
 
     Raises ValueError for a leaf text holding ``_!``, a relation that
     parse_dis would read back differently (empty, parenthesized or with
-    irregular whitespace), an internal node without a Nucleus child (as
-    ``binarize`` makes of leading satellites), or a root whose only child
-    is a leaf (parse_dis reads the bare leaf).
+    irregular whitespace), an internal node without a Nucleus child (as a
+    left-branching binarization makes of leading satellites), or a root
+    whose only child is a leaf (parse_dis reads the bare leaf).
     """
     lines: list[str] = []
     edus: list[int] = []  # leaf indices in the order they are printed

@@ -9,7 +9,6 @@ the first child and the head child attaches to the first child.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from operator import attrgetter
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from .model import (
     GraphFlavor,
     Nuclearity,
     ROOT,
-    RstChild,
     RstInternal,
     RstLeaf,
     RstTree,
@@ -31,64 +29,15 @@ ROOT_SENSE = SenseTag("ROOT", "NONE")
 _node_of = attrgetter("node")
 
 
-def _fold(root: RstLeaf | RstInternal, leaf_value: Callable, combine: Callable):
-    """Post-order fold without recursion.
-
-    Each leaf becomes ``leaf_value(leaf)``; each internal node becomes
-    ``combine(node, child_values)`` once all its children are folded.
-    Returns the value of ``root``.
-    """
-    values: list = []
-    stack: list[RstLeaf | RstInternal | None] = [root]  # None: fold the node below
-    while stack:
-        node = stack.pop()
-        if node is None:
-            node = stack.pop()
-            k = len(node.children)
-            value = combine(node, values[-k:])
-            del values[-k:]
-            values.append(value)
-        elif isinstance(node, RstLeaf):
-            values.append(leaf_value(node))
-        else:
-            stack += node, None
-            stack.extend(map(_node_of, reversed(node.children)))
-    return values[0]
-
-
-def _head_child(children: tuple[RstChild, ...] | list[RstChild]) -> int:
-    """Index of the leftmost Nucleus child, or 0 for a satellite-only group
-    (as binarization makes), so percolation stays total."""
-    for i, child in enumerate(children):
-        if child.nuclearity is Nuclearity.NUCLEUS:
-            return i
-    return 0
-
-
-def tree_heads(tree: RstTree) -> dict[RstLeaf | RstInternal, int]:
-    """Head EDU of every subtree: leftmost-Nucleus percolation."""
-    table: dict[RstLeaf | RstInternal, int] = {}
-
-    def leaf_head(leaf: RstLeaf) -> int:
-        table[leaf] = leaf.edu_index
-        return leaf.edu_index
-
-    def node_head(node: RstInternal, child_heads: list[int]) -> int:
-        table[node] = head = child_heads[_head_child(node.children)]
-        return head
-
-    _fold(tree.root, leaf_head, node_head)
-    return table
-
-
 def _percolate(tree: RstTree, cascade: bool) -> DependencyGraph:
     """Attach each child but the head child ``h`` to the head child's head,
     or with ``cascade`` a child ``0 < i < h`` to the first child's head.
     The root's head takes the root arc.
 
-    One post-order loop, as ``_fold`` walks, with the head rule of
-    ``_head_child`` inlined: an internal node goes back on the stack under a
-    ``None`` marker, then its children, and popping the marker folds it.
+    An internal node is headed by its leftmost Nucleus child, or by its
+    first child when it has none. One post-order loop: an internal node
+    goes back on the stack under a ``None`` marker, then its children, and
+    popping the marker folds it.
     """
     nucleus = Nuclearity.NUCLEUS
     arcs: list[DependencyArc] = []
@@ -137,24 +86,10 @@ def hirao_convert(tree: RstTree) -> DependencyGraph:
     return _percolate(tree, cascade=False)
 
 
-def _binarize_node(node: RstInternal, binarized: list[RstLeaf | RstInternal]) -> RstInternal:
-    children = [
-        RstChild(b, c.nuclearity, c.relation) for c, b in zip(node.children, binarized)
-    ]
-    while len(children) > 2:
-        head = children[_head_child(children[:2])]
-        children[:2] = [RstChild(RstInternal(tuple(children[:2])), head.nuclearity, head.relation)]
-    return RstInternal(tuple(children))
-
-
-def binarize(tree: RstTree) -> RstTree:
-    """Left-branching cascade binarization preserving child order and nuclearity."""
-    return RstTree(_fold(tree.root, lambda leaf: leaf, _binarize_node), doc_id=tree.doc_id)
-
-
 def li_convert(tree: RstTree) -> DependencyGraph:
     """Percolation with satellites grouped as the left-branching binarization
-    groups them; the arcs equal ``hirao_convert(binarize(tree))``."""
+    groups them, without building it: the arcs equal ``hirao_convert`` of
+    that binarization, which the test suite's reference copy builds."""
     return _percolate(tree, cascade=True)
 
 

@@ -41,16 +41,12 @@ def convert_pdtb(
     relations: list[PdtbRelation],
     theta: float = DEFAULT_THETA,
     head_rules: dict[str, str] | None = None,
-    flip_directions: bool = False,
 ) -> tuple[DependencyGraph, list[Diagnostic]]:
     """Convert one document's relations into a LocalForest dependency graph.
 
     NoRel rows carry no semantic arc and are dropped; within a link group
     only the first-listed relation is kept. Relations whose two argument
-    EDU sets intersect are reported and skipped. ``flip_directions``
-    swaps head and dependent on every emitted arc (constituent
-    resolution still uses the canonical directions), which leaves the
-    distance multiset unchanged.
+    EDU sets intersect are reported and skipped.
     """
     if head_rules is None:
         head_rules = DEFAULT_HEAD_RULES
@@ -124,8 +120,6 @@ def convert_pdtb(
         else:
             dependent, head = h2, h1
         working.append((dependent, head))
-        if flip_directions:
-            dependent, head = head, dependent
         arcs.append(DependencyArc(dependent, head, tag))
 
     graph = DependencyGraph(

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seed_align
-from discodep import Document, Span, map_span_set, read_segmentation, resolve_span_set
-from discodep.align import EmptyAlignment, SegmentationError, parse_segmentation, write_segmentation
+from discodep import Document, Span, read_segmentation, resolve_span_set
+from discodep.align import EmptyAlignment, SegmentationError, _align, parse_segmentation, write_segmentation
 
 
 @pytest.fixture
@@ -24,32 +24,32 @@ def doc():
 
 
 def test_identity_overlap(doc):
-    assert map_span_set([Span(50, 100)], doc, theta=0.5) == {2}
+    assert _align([Span(50, 100)], doc, 0.5)[0] == {2}
 
 
 def test_full_coverage_of_three_units(wsj_document):
-    assert map_span_set([Span(1286, 1413)], wsj_document, theta=0.5) == {15, 16, 17}
+    assert _align([Span(1286, 1413)], wsj_document, 0.5)[0] == {15, 16, 17}
 
 
 def test_ten_percent_overlap_misses_theta(doc):
     # 10 chars of the 100-char EDU 4
-    assert map_span_set([Span(160, 170)], doc, theta=0.5) == set()
+    assert _align([Span(160, 170)], doc, 0.5)[0] == set()
 
 
 def test_theta_one_keeps_only_fully_covered(doc):
-    assert map_span_set([Span(0, 99)], doc, theta=1.0) == {1}
-    assert map_span_set([Span(0, 100)], doc, theta=1.0) == {1, 2}
+    assert _align([Span(0, 99)], doc, 1.0)[0] == {1}
+    assert _align([Span(0, 100)], doc, 1.0)[0] == {1, 2}
 
 
 def test_tiny_theta_keeps_any_overlap(doc):
-    assert map_span_set([Span(49, 51)], doc, theta=1e-9) == {1, 2}
+    assert _align([Span(49, 51)], doc, 1e-9)[0] == {1, 2}
 
 
 def test_theta_bounds(doc):
     with pytest.raises(ValueError):
-        map_span_set([Span(0, 10)], doc, theta=0.0)
+        _align([Span(0, 10)], doc, 0.0)
     with pytest.raises(ValueError):
-        map_span_set([Span(0, 10)], doc, theta=1.5)
+        _align([Span(0, 10)], doc, 1.5)
 
 
 def _resolved(resolve, span: Span, doc: Document):
@@ -66,7 +66,7 @@ def test_copied_documents_align_like_fresh_ones(doc):
     deep-copied document aligns as the first alignment code aligns one
     built from its EDUs."""
     fresh = Document("d", doc.edus)
-    map_span_set([Span(0, 1)], doc)  # builds the index
+    _align([Span(0, 1)], doc, 0.5)  # builds the index
     assert (doc, hash(doc), repr(doc)) == (fresh, hash(fresh), repr(fresh))
     other = ((1, Span(0, 30)), (2, Span(30, 200)))
     copies = [
@@ -85,9 +85,9 @@ def test_copied_documents_align_like_fresh_ones(doc):
 def test_overlapping_spans_in_one_argument_not_double_counted(doc):
     # two copies of a 30-char overlap must not pass the 50% bar on a
     # 50-char EDU; the union of the spans is what counts
-    assert map_span_set([Span(0, 30), Span(0, 30)], doc, theta=1.0) == set()
-    assert map_span_set([Span(0, 30), Span(10, 40)], doc, theta=1.0) == set()
-    assert map_span_set([Span(0, 30), Span(10, 40)], doc, theta=0.5) == {1}
+    assert _align([Span(0, 30), Span(0, 30)], doc, 1.0)[0] == set()
+    assert _align([Span(0, 30), Span(10, 40)], doc, 1.0)[0] == set()
+    assert _align([Span(0, 30), Span(10, 40)], doc, 0.5)[0] == {1}
 
 
 def test_fallback_picks_max_overlap_and_logs(doc):
@@ -127,8 +127,8 @@ def test_monotonicity_enlarging_spans_never_shrinks(extra, base, theta):
         "d",
         ((1, Span(0, 50)), (2, Span(50, 100)), (3, Span(110, 160)), (4, Span(160, 260))),
     )
-    small = map_span_set([base], doc, theta)
-    large = map_span_set([base] + extra, doc, theta)
+    small = _align([base], doc, theta)[0]
+    large = _align([base] + extra, doc, theta)[0]
     assert small <= large
 
 

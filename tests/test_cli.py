@@ -134,6 +134,16 @@ class TestConvertPdtb:
         assert capsys.readouterr().err == "error: --columns index 'a' is not an integer\n"
         assert not out.exists()
 
+    def test_columns_index_with_an_underscore_is_usage_error(self, tmp_path, pdtb_corpus, seg_file, capsys):
+        # int("1_4") is 14; a typo must not select a column silently
+        out = tmp_path / "out"
+        assert run(
+            "convert-pdtb", "--input", pdtb_corpus, "--edus", seg_file, "--out", out,
+            "--columns", "0,1,7,8,10,11,1_4,20",
+        ) == 2
+        assert capsys.readouterr().err == "error: --columns index '1_4' is not an integer\n"
+        assert not out.exists()
+
     def test_alignment_diagnostics_name_line_and_argument(self, tmp_path):
         corpus = tmp_path / "pdtb"
         corpus.mkdir()

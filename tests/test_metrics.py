@@ -9,9 +9,7 @@ from discodep import (
     DependencyArc,
     DependencyGraph,
     GraphFlavor,
-    MetricsRecord,
     SenseTag,
-    corpus_mean,
     mdd_local,
     mdd_rooted,
     metrics_record,
@@ -145,28 +143,6 @@ class TestMetricsRecord:
     def test_bad_mode_rejected(self, wsj_graph):
         with pytest.raises(ValueError):
             metrics_record(wsj_graph, "global")
-
-
-class TestCorpusMean:
-    def rec(self, doc_id, mdd):
-        return MetricsRecord(doc_id, 5, 4, mdd, None)
-
-    def test_single_value(self):
-        assert corpus_mean([self.rec("a", 1.27)], "mdd") == (pytest.approx(1.27), 0)
-
-    def test_two_values(self):
-        mean, skipped = corpus_mean([self.rec("a", 1.0), self.rec("b", 3.0)], "mdd")
-        assert mean == 2.0 and skipped == 0
-
-    def test_undefined_skipped_not_zeroed(self):
-        mean, skipped = corpus_mean(
-            [self.rec("a", 2.0), self.rec("b", None), self.rec("c", 4.0)], "mdd"
-        )
-        assert mean == 3.0 and skipped == 1
-
-    def test_all_undefined_raises(self):
-        with pytest.raises(UndefinedMetric):
-            corpus_mean([self.rec("a", None)], "mdd")
 
 
 class TestPearson:

@@ -172,6 +172,9 @@ def test_each_bad_sense_line_gets_its_own_diagnostic():
 def test_column_map_from_string_and_validation():
     cm = ColumnMap.from_string("0,1,7,8,10,11,14,20")
     assert cm == ColumnMap()
+    assert ColumnMap.from_string(" 0, 1,7 ,8,10,11,14,20 ") == cm
+    with pytest.raises(ValueError, match=r"^column indices must be distinct and >= 0: "):
+        ColumnMap.from_string("0,1,7,8,10,11,14,-1")
     with pytest.raises(ValueError):
         ColumnMap.from_string("0,1,2")
     with pytest.raises(ValueError, match=r"^--columns index 'a' is not an integer$"):
@@ -180,6 +183,16 @@ def test_column_map_from_string_and_validation():
         ColumnMap.from_string("0,1,7,8,10,11,14,")
     with pytest.raises(ValueError):
         ColumnMap(kind_col=0, conn_span_col=0)
+
+
+@pytest.mark.parametrize(
+    "index", ["1_4", "+1", "٢٠", "１４", "-"], ids=["underscore", "plus", "arabic-indic", "fullwidth", "bare-minus"]
+)
+def test_column_map_from_string_reads_only_ascii_digits(index):
+    # int() reads all but the bare minus, so a typo would select a column
+    with pytest.raises(ValueError) as info:
+        ColumnMap.from_string(f"0,1,7,8,10,11,{index},20")
+    assert str(info.value) == f"--columns index {index!r} is not an integer"
 
 
 def test_fixture_parses_clean(wsj_relations):

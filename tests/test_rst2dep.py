@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import discodep.model
-import discodep.rst2dep
+import seed_rst
 from discodep import (
     GraphFlavor,
     Nuclearity,
@@ -13,12 +13,10 @@ from discodep import (
     RstInternal,
     RstLeaf,
     RstTree,
-    binarize,
     hirao_convert,
     li_convert,
     parse_dis,
     parse_dis_file,
-    tree_heads,
     validate_graph,
     write_dep,
 )
@@ -50,35 +48,42 @@ def _nodes(root):
             stack.extend(c.node for c in n.children)
 
 
+def _root_head(t):
+    """The head EDU of ``t``'s root, read off hirao_convert's root arc."""
+    (root_arc,) = [a for a in hirao_convert(t).arcs if a.is_root]
+    return root_arc.dependent
+
+
 TWO_LEAF = tree(node((leaf(1), S, "condition"), (leaf(2), N, "span")))
 
 
 class TestTreeHeads:
     def test_single_nucleus(self):
-        heads = tree_heads(TWO_LEAF)
+        heads = seed_rst.tree_heads(TWO_LEAF)
         assert heads[TWO_LEAF.root] == 2
 
     def test_multinuclear_leftmost_wins(self):
         t = tree(node((leaf(1), N, "List"), (node((leaf(2), N, "List"), (leaf(3), N, "List")), N, "List")))
         inner = t.root.children[1].node
-        heads = tree_heads(t)
+        heads = seed_rst.tree_heads(t)
         assert heads[inner] == 2
         assert heads[t.root] == 1
 
     def test_multinuclear_node_over_leaves_three_four(self):
         pair = node((leaf(3), N, "List"), (leaf(4), N, "List"))
         t = tree(node((leaf(1), N, "span"), (leaf(2), S, "elaboration"), (pair, S, "elaboration")))
-        assert tree_heads(t)[pair] == 3
+        assert seed_rst.tree_heads(t)[pair] == 3
 
     def test_fig1_root_head(self, fig1_tree):
-        assert tree_heads(fig1_tree)[fig1_tree.root] == 3
+        assert seed_rst.tree_heads(fig1_tree)[fig1_tree.root] == 3
 
     def test_deep_tree(self, deep_dis_text):
+        # too deep for the recursive seed: hash every node, read the root head off hirao
         t = parse_dis(deep_dis_text)
-        heads = tree_heads(t)
-        assert len(heads) == 2 * 1200 - 1
-        assert heads[t.root] == 1200
-        assert sorted(h for n, h in heads.items() if isinstance(n, RstLeaf)) == list(range(1, 1201))
+        nodes = dict.fromkeys(_nodes(t.root))
+        assert len(nodes) == 2 * 1200 - 1
+        assert _root_head(t) == 1200
+        assert sorted(n.edu_index for n in nodes if isinstance(n, RstLeaf)) == list(range(1, 1201))
 
     def test_unpickled_node_rehashes(self):
         # a cached hash must not travel: str hashes differ between processes
@@ -115,9 +120,8 @@ class TestTreeHeads:
         assert hash(lazy) == hash(eager)
         assert all(hasattr(n, "_hash") for n in _nodes(lazy) if isinstance(n, RstInternal))
         t = RstTree(chain(False))
-        heads = tree_heads(t)
-        assert len(heads) == 2 * depth + 1
-        assert heads[t.root] == depth
+        assert len(dict.fromkeys(_nodes(t.root))) == 2 * depth + 1
+        assert _root_head(t) == depth
 
 
 class TestHiraoConvert:
@@ -190,9 +194,6 @@ class TestLiConvert:
         graph = li_convert(RstTree(leaf(1)))
         assert [(a.dependent, a.head) for a in graph.arcs] == [(1, 0)]
 
-    def test_binarize_preserves_leaf_order(self, fig1_tree):
-        assert binarize(fig1_tree).root.leaf_indices == fig1_tree.root.leaf_indices
-
 
 def _binary_shapes(indices):
     if len(indices) == 1:
@@ -241,7 +242,7 @@ def test_li_equals_hirao_on_all_binary_trees_up_to_five_leaves():
 
 def _ancestor_heads(t):
     """For each EDU, the heads of all subtrees containing it."""
-    heads = tree_heads(t)
+    heads = seed_rst.tree_heads(t)
     table = {e: set() for e in range(1, t.leaf_count + 1)}
 
     def walk(n):
@@ -272,7 +273,7 @@ def test_all_conversions_are_valid_rooted_trees():
             assert validate_graph(graph) == []
             root_arcs = [a for a in graph.arcs if a.is_root]
             assert len(root_arcs) == 1
-            assert root_arcs[0].dependent == tree_heads(t)[t.root]
+            assert root_arcs[0].dependent == seed_rst.tree_heads(t)[t.root]
 
 
 def test_apply_label_map(fig1_tree):
@@ -316,28 +317,25 @@ def test_load_label_map_refuses_repeated_or_empty_relation(tmp_path, text, messa
 
 
 def test_parse_walks_no_leaves_again_and_li_builds_no_second_tree(monkeypatch, fixtures_dir):
-    counts = {"walks": 0, "nodes": 0}
-    iter_leaves, internal = discodep.model.iter_leaves, discodep.rst2dep.RstInternal
+    walks = 0
+    iter_leaves = discodep.model.iter_leaves
 
     def counting_iter_leaves(node):
-        counts["walks"] += 1
+        nonlocal walks
+        walks += 1
         return iter_leaves(node)
 
-    def counting_internal(*args):
-        counts["nodes"] += 1
-        return internal(*args)
-
     monkeypatch.setattr(discodep.model, "iter_leaves", counting_iter_leaves)
-    monkeypatch.setattr(discodep.rst2dep, "RstInternal", counting_internal)
 
     def cost(convert, arg):
-        counts.update(walks=0, nodes=0)
+        nonlocal walks
+        walks = 0
         convert(arg)
-        return dict(counts)
+        return walks
 
     tree = parse_dis_file(fixtures_dir / "fig1.dis")
-    assert cost(parse_dis_file, fixtures_dir / "fig1.dis")["walks"] == 0
-    assert cost(hirao_convert, tree)["walks"] == 0
-    assert cost(li_convert, tree) == {"walks": 0, "nodes": 0}
-    # the counters are live: the binarization li leaves unbuilt costs both
-    assert cost(binarize, tree) == {"walks": 1, "nodes": 10}
+    assert cost(parse_dis_file, fixtures_dir / "fig1.dis") == 0
+    assert cost(hirao_convert, tree) == 0
+    assert cost(li_convert, tree) == 0
+    # the counter is live: a tree built from a bare root walks it once
+    assert cost(RstTree, tree.root) == 1
