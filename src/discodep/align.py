@@ -7,12 +7,14 @@ from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from pathlib import Path
 
-from .formats import _decode, _lines, _read_text, _tab_rows
+from .formats import FormatError, _decode, _lines, _read_text, _tab_rows, _utf8
 from .model import Diagnostic, DiscodepError, Document, Span
 
 DEFAULT_THETA = 0.5
 # a run: one line with a tab and every next line with the same first field
 _RUN = re.compile(r"^([^\t\n]*)\t[^\n]*(?:\n\1\t[^\n]*)*", re.M)
+# characters that end a segmentation field or line
+_FIELD_BREAKS = frozenset("\t\r\n")
 
 
 class EmptyAlignment(DiscodepError):
@@ -224,9 +226,21 @@ def read_segmentation(
 
 
 def write_segmentation(documents: Iterable[Document]) -> str:
-    """Serialize documents to segmentation-file format (deterministic order)."""
+    """Serialize documents to segmentation-file format (deterministic order).
+
+    Raises FormatError for a doc_id that parse_segmentation would read back
+    differently or not at all: one with outer whitespace, a leading "#", a
+    tab or line break, or a lone surrogate.
+    """
+    documents = sorted(documents, key=lambda d: d.doc_id)
+    for doc in documents:
+        doc_id = doc.doc_id
+        if doc_id != doc_id.strip() or doc_id.startswith("#") or not (
+            _FIELD_BREAKS.isdisjoint(doc_id) and _utf8(doc_id)
+        ):
+            raise FormatError(f"segmentation cannot represent doc_id {doc_id!r}")
     lines = []
-    for doc in sorted(documents, key=lambda d: d.doc_id):
+    for doc in documents:
         for index, span in doc.edus:
             lines.append(f"{doc.doc_id}\t{index}\t{span.start}\t{span.end}")
     return "\n".join(lines) + "\n" if lines else ""

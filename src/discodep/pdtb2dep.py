@@ -73,8 +73,6 @@ def _constituent_head(units: set[int], heads: dict[int, list[int]]) -> int:
     # the last unit with no head inside the set, found in set size times
     # unit degree; the last unit when every one has such a head, so a
     # single unit heads itself
-    if len(units) == 1:
-        return next(iter(units))
     if not units:
         raise ValueError("empty constituent")
     best = None

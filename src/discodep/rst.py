@@ -57,13 +57,11 @@ _TEXT = r"text\s+_!([^_]*(?:_(?!!)[^_]*)*)_!\s*\)"  # up to the first _!, as _FR
 # - a ")" (group 1);
 # - a whole Nucleus or Satellite leaf node (2): its label (3), (leaf k) (4),
 #   then optionally (rel2par words) (5) and (text _!fragment_!) (6), and ")";
-# - a Nucleus or Satellite header (7): its label (8), (span a b) (9, 10) and
-#   optionally (rel2par words) (11);
-# - a bare node header (12);
-# - a well-formed (leaf k) (13), (span a b) (14, 15), (rel2par words) (16)
-#   or (text _!fragment_!) (17) list.
-# Any other list (malformed, nested, a Promotion set, a non-ASCII digit)
-# matches none and is read token by token; so do lists in any other order.
+# - a node header: its label (7), then optionally (span a b) (8, 9) and,
+#   after it, (rel2par words) (10).
+# Every other list (any list in another order or repeated, a lone (leaf k),
+# a Promotion set, a nested or malformed list, a non-ASCII digit) matches
+# none and is read token by token.
 _UNIT = re.compile(
     rf"""
     \s*(?:
@@ -71,12 +69,8 @@ _UNIT = re.compile(
     | \(\s*(?:
         ((Nucleus|Satellite)\s*\(\s*leaf\s+([0-9]+)\s*\)
           (?:\s*\(\s*{_RELATION})?(?:\s*\(\s*{_TEXT})?\s*\))
-      | ((Nucleus|Satellite)\s*\(\s*span\s+([0-9]+)\s+([0-9]+)\s*\)(?:\s*\(\s*{_RELATION})?)
-      | (Root|Nucleus|Satellite)(?![^\s()])
-      | leaf\s+([0-9]+)\s*\)
-      | span\s+([0-9]+)\s+([0-9]+)\s*\)
-      | {_RELATION}
-      | {_TEXT}
+      | (Root|Nucleus|Satellite)
+          (?:\s*\(\s*span\s+([0-9]+)\s+([0-9]+)\s*\)(?:\s*\(\s*{_RELATION})?|(?![^\s()]))
     ))
     """,
     re.VERBOSE,
@@ -187,10 +181,11 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
     byte-order mark is skipped.
 
     One scan with an explicit stack of open nodes: each ``_UNIT`` match is
-    a whole well-formed leaf node, a node header with its attribute lists,
-    a whole attribute list or a ")", and anything else is read token by
-    token (``_read_attr``), with the same errors. Each node becomes its
-    parent's child when it closes, so tree depth is not limited by recursion.
+    a whole well-formed leaf node, a node header with its (span a b) and
+    (rel2par ...) lists, or a ")", and every other list is read token by
+    token (``_read_attr``), with the same attributes and errors. Each node
+    becomes its parent's child when it closes, so tree depth is not limited
+    by recursion.
     """
     return _parse(_decode(text), doc_id)
 
@@ -198,7 +193,7 @@ def parse_dis(text: str, doc_id: str = "") -> RstTree:
 def _parse(text: str, doc_id: str) -> RstTree:
     match = _UNIT.match
     m = match(text)
-    if m is None or m.lastindex != 12 or m[12] != "Root":
+    if m is None or m[7] != "Root":
         tokens = _tokenize(text)
         kind, _, _ = next(tokens, ("", "", 0))
         if not kind:
@@ -212,7 +207,8 @@ def _parse(text: str, doc_id: str) -> RstTree:
     # the innermost open node: its label, attributes and built children, and
     # whether one child is a Nucleus or carries the Root label (a Root child
     # has no nuclearity); the nodes around it wait on the stack
-    label, attrs, children, nucleus, rooted = "Root", {}, [], False, False
+    label, children, nucleus, rooted = "Root", [], False, False
+    attrs = {} if m[8] is None else {"span": (int(m[8]), int(m[9]))}
     stack: list[tuple[str, dict, list[RstChild], bool, bool]] = []
     # leaves come in file order, which is the tree's left-to-right order:
     # ``count`` leaves are in the tree so far, and ``ordered`` says leaf k
@@ -256,21 +252,10 @@ def _parse(text: str, doc_id: str) -> RstTree:
             children.append(RstChild(node, nuclearity, relation))
             nucleus = nucleus or nuclearity is _NUCLEUS
             rooted = rooted or nuclearity is None
-        elif unit == 7:
-            stack.append((label, attrs, children, nucleus, rooted))
-            label, children, nucleus, rooted = m[8], [], False, False
-            attrs = {"span": (int(m[9]), int(m[10])), "rel2par": relations[m[11]]}
-        elif unit == 12:
-            stack.append((label, attrs, children, nucleus, rooted))
-            label, attrs, children, nucleus, rooted = m[12], {}, [], False, False
-        elif unit == 13:
-            attrs["leaf"] = int(m[13])
-        elif unit == 15:
-            attrs["span"] = (int(m[14]), int(m[15]))
-        elif unit == 16:
-            attrs["rel2par"] = relations[m[16]]
         else:
-            attrs["text"] = m[17]
+            stack.append((label, attrs, children, nucleus, rooted))
+            label, children, nucleus, rooted = m[7], [], False, False
+            attrs = {} if m[8] is None else {"span": (int(m[8]), int(m[9])), "rel2par": relations[m[10]]}
     if _TOKEN.match(text, pos):
         raise UnbalancedParens(f"trailing tokens after tree (at token {len([*_tokenize(text[:pos])])})")
     # degenerate single-child root wrapper: unwrap to the bare leaf

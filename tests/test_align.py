@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import seed_align
 from discodep import Document, Span, read_segmentation, resolve_span_set
 from discodep.align import EmptyAlignment, SegmentationError, _align, parse_segmentation, write_segmentation
+from discodep.formats import FormatError
 
 
 @pytest.fixture
@@ -166,6 +167,20 @@ class TestSegmentationFile:
         assert docs["d1"].unit_count == 1 and docs.get("d9") is None
         with pytest.raises(SegmentationError, match="^d2: EDU indices must be 1..n contiguous, got 1 at position 2$"):
             docs.get("d2")
+
+    @pytest.mark.parametrize("doc_id", ["", "wsj_0618", "a#b", "a b", "é\x0bx"])
+    def test_ordinary_doc_ids_round_trip(self, doc_id):
+        doc = Document(doc_id, ((1, Span(0, 5)), (2, Span(5, 9))))
+        assert parse_segmentation(write_segmentation([doc])) == {doc_id: doc}
+
+    # outer whitespace is stripped, a leading "#" makes a comment, a tab or
+    # line break splits the row, and a lone surrogate does not encode
+    @pytest.mark.parametrize("doc_id", [" a", "a\u00a0", "#a", "a\tb", "a\rb", "a\nb", "a\udcff"])
+    def test_unrepresentable_doc_id_is_refused(self, doc_id):
+        docs = [Document("ok", ((1, Span(0, 5)),)), Document(doc_id, ((1, Span(0, 5)),))]
+        with pytest.raises(FormatError) as info:
+            write_segmentation(docs)
+        assert str(info.value) == f"segmentation cannot represent doc_id {doc_id!r}"
 
     def test_comments_and_blanks_skipped(self):
         docs = parse_segmentation("# comment\n\ndoc\t1\t0\t5\n")

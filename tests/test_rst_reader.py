@@ -159,7 +159,8 @@ def test_well_formed_files_take_no_token_path(fixtures_dir, deep_dis_text, token
 def test_a_promotion_set_takes_the_token_path(token_path_calls):
     tree = parse_dis("( Root ( Nucleus (leaf 1) (Promotion 1) ) ( Satellite (leaf 2) (rel2par x) ) )")
     assert tree.leaf_count == 2
-    assert len(token_path_calls) == 1
+    # the (leaf 1) and the (Promotion 1) after it
+    assert token_path_calls == [16, 25]
 
 
 class TestEduInventory:
