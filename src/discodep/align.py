@@ -230,15 +230,20 @@ def write_segmentation(documents: Iterable[Document]) -> str:
 
     Raises FormatError for a doc_id that parse_segmentation would read back
     differently or not at all: one with outer whitespace, a leading "#", a
-    tab or line break, or a lone surrogate.
+    tab or line break, or a lone surrogate; and for one given twice, whose
+    lines would read back as one document.
     """
     documents = sorted(documents, key=lambda d: d.doc_id)
+    previous = None
     for doc in documents:
         doc_id = doc.doc_id
         if doc_id != doc_id.strip() or doc_id.startswith("#") or not (
             _FIELD_BREAKS.isdisjoint(doc_id) and _utf8(doc_id)
         ):
             raise FormatError(f"segmentation cannot represent doc_id {doc_id!r}")
+        if doc_id == previous:  # sorted, so a repeated doc_id follows its first
+            raise FormatError(f"segmentation cannot represent doc_id {doc_id!r} twice")
+        previous = doc_id
     lines = []
     for doc in documents:
         for index, span in doc.edus:

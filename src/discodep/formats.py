@@ -35,8 +35,11 @@ from .model import (
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
 _EMPTY = ("", "_")  # conll cells of an absent sense level
 _LEVEL_TYPES = (str, (str, type(None)), (str, type(None)))  # of sense level1, level2, level3
+# one SenseTag per distinct (level1, level2, level3), shared by every graph read
+_sense = lru_cache(maxsize=1024)(SenseTag)
 _INPUT_ENCODING = "utf-8-sig"  # UTF-8 with a leading byte-order mark skipped
 _LINE_BREAKS = frozenset("\r\n")
+_CHUNK = 65536  # characters of whole lines that _lines splits at a time
 # a csv cell holding one of these is not read back as written: it ends the
 # row, and csv.reader before Python 3.11 refuses a NUL
 _CSV_BREAKS = _LINE_BREAKS if sys.version_info >= (3, 11) else _LINE_BREAKS | {"\0"}
@@ -151,9 +154,21 @@ def _header_field(key: str, value, where: str):
 
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """``(line_no, line)`` of each non-blank line; only "\\r\\n", "\\r" and
-    "\\n" end a line, as in a file opened in text mode."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return ((line_no, line) for line_no, line in enumerate(lines, 1) if line.strip())
+    "\\n" end a line, as in a file opened in text mode.
+
+    The text is split about ``_CHUNK`` characters of whole lines at a time,
+    each chunk ending just after a "\\n", so no list of every line is held.
+    """
+    first, start, size = 1, 0, len(text)  # first: the number of the chunk's first line
+    while start < size:
+        end = text.find("\n", start + _CHUNK) + 1 or size
+        lines = text[start:end].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        for line_no, line in enumerate(lines, first):
+            if line.strip():
+                yield line_no, line
+        # the last piece is the "" after the chunk's final "\n", or the text's last line
+        first += len(lines) - 1
+        start = end
 
 
 def _tab_rows(lines: Iterable[tuple[int, str]], width: int, error: type[Exception], where: str = "line"):
@@ -216,7 +231,7 @@ def _graph(meta: dict, rows, unit_count: int | None, where: str = "line", to_int
                 i = list(map(isinstance, levels, _LEVEL_TYPES)).index(False)
                 raise ValueError(f"sense level{i + 1} must be a string, got {levels[i]!r}")
             dependent, head = _number(dependent, to_int, "dependent id"), _number(head, to_int, "head id")
-            arc = DependencyArc(dependent, head, SenseTag(*levels))
+            arc = DependencyArc(dependent, head, _sense(*levels))
             if distance is not None and _number(distance, to_int, "distance") != arc.distance:
                 raise ValueError(f"distance {to_int(distance)} disagrees with |{dependent} - {head}|")
         except ValueError as err:

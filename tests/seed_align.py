@@ -15,8 +15,9 @@ from collections.abc import Collection, Iterable, Mapping
 from pathlib import Path
 
 from discodep.align import DEFAULT_THETA, EmptyAlignment, Inventories, SegmentationError, _documents, _merge
-from discodep.formats import _lines, _read_text
+from discodep.formats import _read_text
 from discodep.model import Diagnostic, Document, Span
+from seed_formats import _lines
 
 
 def _overlap_with_set(spans: tuple[Span, ...], edu_span: Span) -> int:

@@ -6,12 +6,18 @@ kept verbatim as a differential oracle for ``test_formats_oracle.py``.
 Each reader split lines with ``str.splitlines``, and conll, csv and json
 each built and checked their arcs on their own. The json writer handed a
 payload dict to ``json.dumps(payload, indent=2)``.
+
+``_lines`` is the library's line splitter as it was before it split the
+text in chunks: it splits the whole text into one list of every line.
+``seed_align`` and ``seed_pdtb`` read lines with it, and
+``test_formats_oracle.py`` checks the chunked splitter against it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from discodep.align import SegmentationError
@@ -28,6 +34,13 @@ from discodep.model import (
 )
 
 _CSV_HEADER = ("dependent", "head", "distance", "sense1", "class", "type")
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` of each non-blank line; only "\\r\\n", "\\r" and
+    "\\n" end a line, as in a file opened in text mode."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return ((line_no, line) for line_no, line in enumerate(lines, 1) if line.strip())
 
 
 def _sense_from_fields(level1: str, level2: str, level3: str) -> SenseTag:

@@ -11,7 +11,6 @@ or the same error.
 
 from __future__ import annotations
 
-from discodep.formats import _lines
 from discodep.model import Diagnostic, PdtbRelation, RelationKind, SENSELESS_KINDS, SenseTag, Span
 from discodep.pdtb import (
     DEFAULT_COLUMNS,
@@ -25,6 +24,7 @@ from discodep.pdtb import (
     _LINK_TOKEN,
     _sense,
 )
+from seed_formats import _lines
 
 
 def _parse_span_list(token: str, line_no: int) -> tuple[Span, ...]:

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +183,31 @@ class TestSegmentationFile:
         with pytest.raises(FormatError) as info:
             write_segmentation(docs)
         assert str(info.value) == f"segmentation cannot represent doc_id {doc_id!r}"
+
+    def test_doc_id_given_twice_is_refused(self):
+        doc = Document("a", ((1, Span(0, 3)),))
+        with pytest.raises(FormatError) as info:
+            write_segmentation([Document("b", ((1, Span(0, 3)),)), doc, doc])
+        assert str(info.value) == "segmentation cannot represent doc_id 'a' twice"
+
+    def test_reading_a_corpus_holds_no_list_of_every_line(self, tmp_path):
+        """Memory a whole-file read allocates and frees is bounded by a small
+        multiple of the file's size: a list of every line alone, with its
+        strings, takes about three times the size of a file like this one."""
+        docs = [Document(f"wsj_{k:04d}", tuple((i, Span(9 * i, 9 * i + 8)) for i in range(1, 101))) for k in range(450)]
+        path = tmp_path / "corpus.seg"
+        path.write_text(write_segmentation(docs))
+        size = path.stat().st_size
+        assert size >= 800 * 1024
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read = read_segmentation(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(read) == 450
+        assert (peak - kept) / size < 2.5
 
     def test_comments_and_blanks_skipped(self):
         docs = parse_segmentation("# comment\n\ndoc\t1\t0\t5\n")

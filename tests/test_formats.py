@@ -100,6 +100,13 @@ class TestReadDep:
         for fmt in FORMATS:
             assert read_dep(write_dep(wsj_graph, fmt), fmt) == wsj_graph
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_arcs_with_one_sense_share_one_sense_tag(self, fmt):
+        arcs = (DependencyArc(1, 3, SenseTag("x", "y")), DependencyArc(2, 3, SenseTag("x", "y")))
+        graph = DependencyGraph("d", 3, arcs, GraphFlavor.LOCAL_FOREST)
+        first, second = read_dep(write_dep(graph, fmt), fmt).arcs
+        assert first.sense is second.sense
+
     def test_round_trip_fig1_local_fixture(self, fixtures_dir):
         data = (fixtures_dir / "fig1_local.json").read_bytes()
         graph = read_dep(data, "json")

@@ -20,7 +20,9 @@ message once the seven intended changes are allowed for:
 
 A fixed graph is checked against every one of its variants, and random
 graphs against one variant each. The json writer, which builds its text
-directly, must write the bytes of the seed's ``json.dumps`` writer.
+directly, must write the bytes of the seed's ``json.dumps`` writer. The
+line splitter, which splits a text in chunks, must yield the lines and line
+numbers of the seed's ``_lines``, which splits it whole.
 """
 
 import copy
@@ -36,7 +38,17 @@ from hypothesis import example, given, strategies as st
 import seed_formats as seed
 from discodep import DependencyArc, DependencyGraph, GraphFlavor, MetricsRecord, SenseTag
 from discodep.align import parse_segmentation, write_segmentation
-from discodep.formats import FORMATS, FormatError, read_dep, read_metrics, read_two_columns, write_dep, write_metrics
+from discodep.formats import (
+    FORMATS,
+    FormatError,
+    _CHUNK,
+    _lines,
+    read_dep,
+    read_metrics,
+    read_two_columns,
+    write_dep,
+    write_metrics,
+)
 from discodep.model import Document, Span
 
 # no word is "_" or blank, so every generated graph is written in every format
@@ -216,6 +228,34 @@ def _arcs(*arcs):
 @given(graph=graphs(_json_text, st.builds(SenseTag, _json_text, _json_level, _json_level)))
 def test_json_writer_matches_seed(graph):
     assert write_dep(graph, "json") == seed._write_json(graph)
+
+
+def _boundary_examples(test):
+    """``test`` with an example for each text of _CHUNK - 1 to _CHUNK + 2
+    characters whose "\\n", "\\r\\n" or "\\r" ends just before, straddles or
+    starts at the chunk boundary, or is cut off by the text's end so that no
+    line break follows the boundary."""
+    texts = {
+        ("x\n\n" + "a" * (start - 3) + brk + "b" * 4)[:size]
+        for size in range(_CHUNK - 1, _CHUNK + 3)
+        for brk in ("\n", "\r\n", "\r")
+        for start in (_CHUNK - len(brk), _CHUNK - 1, _CHUNK)
+    }
+    for text in sorted(texts):
+        test = example(pad=0, text=text)(test)
+    return test
+
+
+@_boundary_examples
+@given(
+    pad=st.sampled_from((0, _CHUNK - 12, _CHUNK - 2, _CHUNK)),
+    text=st.text(alphabet="ab \t\x0c\x85\u2028\n\r", max_size=40),
+)
+def test_chunked_line_splitter_matches_seed(pad, text):
+    """Drawn texts, alone and after ``pad`` characters of two lines and a
+    blank one, which put the chunk boundary inside them."""
+    text = "x\n\n" + "a" * (pad - 3) + text if pad else text
+    assert list(_lines(text)) == list(seed._lines(text))
 
 
 @st.composite
